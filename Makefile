@@ -42,7 +42,7 @@ test-short:
 	$(GO) test -short ./...
 
 # Key hot-path benchmarks, recorded as JSON so the perf trajectory is
-# tracked from PR to PR (BENCH_1.json was the first point, BENCH_9.json
+# tracked from PR to PR (BENCH_1.json was the first point, BENCH_10.json
 # the current one; benchjson prints the delta against BENCH_BASE but
 # never fails the build — timings on shared machines are a trend line,
 # not a gate). Each benchmark runs BENCHCOUNT times and benchjson keeps
@@ -59,8 +59,10 @@ test-short:
 KEY_BENCHES ?= ^(BenchmarkPacketForwarding|BenchmarkDCTCPFlow|BenchmarkLeafSpineFlows|BenchmarkFatTree|BenchmarkFatTreeSharded|BenchmarkFatTree16Sharded|BenchmarkFatTree32Sharded|BenchmarkFatTreeTraced|BenchmarkFlowSimFatTree|BenchmarkFatTreeBuild|BenchmarkTraceEncodeJSONL|BenchmarkTraceEncodeBinary|BenchmarkEngineChurn|BenchmarkPMSBDecision|BenchmarkMQECNDecision)$$
 BENCHTIME ?= 1s
 BENCHCOUNT ?= 3
-BENCH_OUT ?= BENCH_9.json
-BENCH_BASE ?= BENCH_8.json
+BENCH_OUT ?= BENCH_10.json
+BENCH_BASE ?= BENCH_9.json
+# The runtime self-profile recorded next to BENCH_OUT shares its stem.
+BENCH_RTSTATS = $(BENCH_OUT:.json=.rtstats)
 
 bench:
 	$(GO) test -run '^$$' -bench "$(KEY_BENCHES)" -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . \
@@ -69,8 +71,8 @@ bench:
 	# to the benchmark numbers, so perf regressions come with the
 	# coordinator's own accounting of where the time went.
 	-$(GO) run ./cmd/pmsbsim -experiment fattree -shards 4 -par channel-steal \
-		-runtimestats BENCH_9.rtstats > /dev/null && \
-		$(GO) run ./cmd/pmsbstat -runtime BENCH_9.rtstats
+		-runtimestats $(BENCH_RTSTATS) > /dev/null && \
+		$(GO) run ./cmd/pmsbstat -runtime $(BENCH_RTSTATS)
 
 # Every benchmark (one per paper table/figure plus engine micro-benches).
 bench-all:

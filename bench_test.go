@@ -306,6 +306,35 @@ func driveFatTreeFlows(b *testing.B, ft *topo.FatTree, coord *sim.Coordinator, b
 	for _, f := range launched {
 		f.Release()
 	}
+	engs := []*sim.Engine{ft.Eng}
+	if coord != nil {
+		engs = engs[:0]
+		for _, s := range coord.Shards() {
+			engs = append(engs, s.Engine())
+		}
+	}
+	reportScan(b, engs...)
+}
+
+// reportScan reports the calendar queue's chain-walk steps per bucket
+// insert, summed over engines: a work counter, so unlike ns/op it
+// repeats exactly from run to run and machine to machine wherever the
+// sequence of queue operations does — serial engines, global windows
+// and 1-2 channel shards. Channel clocks at 4+ shards grant windows in
+// worker-timing order, which moves where cross-shard injections land
+// among local inserts (never the pop order), so those rows vary a
+// little.
+func reportScan(b *testing.B, engs ...*sim.Engine) {
+	b.Helper()
+	var ins, steps uint64
+	for _, e := range engs {
+		q := e.Stats().Queue
+		ins += q.Inserts
+		steps += q.ScanSteps
+	}
+	if ins > 0 {
+		b.ReportMetric(float64(steps)/float64(ins), "scan/insert")
+	}
 }
 
 // BenchmarkFatTreeSharded runs the same k=8 fat-tree workload through
@@ -540,49 +569,93 @@ func BenchmarkTraceEncodeBinary(b *testing.B) {
 }
 
 // BenchmarkEngineChurn measures raw scheduler cost under a pending-set
-// of fixed size: per operation, one pop + one fresh schedule at a
-// deterministic pseudo-random offset, with every 7th timer cancelled
-// (cancelled events ride the queue until their time comes, as in the
-// transport's lazy timers). A flat ns/op across 10k -> 1M pending is
-// the calendar queue's O(1) claim; the heap variants show the O(log n)
-// baseline it replaced.
+// of fixed size, one pop + one fresh schedule per operation, on two
+// event mixes:
+//
+//   - uniform (the unprefixed rows): offsets spread evenly over 0-10ms,
+//     with every 7th timer cancelled (cancelled events ride the queue
+//     until their time comes, as in the transport's lazy timers). The
+//     one mix where any width rule works, since the mean offset
+//     describes every event.
+//   - fabric: 1024 packets in flight (about the busy links of a loaded
+//     k=16 fat-tree), each hopping to its next link at now+prop+ser (1us
+//     plus a 0.1-1.2us serialization time), and the rest of the pending
+//     set RTO-like timers 1-10ms out that re-arm when they expire, as the
+//     transport's lazy-deadline RTO does. The far timers dominate the
+//     pending set and its mean offset, while most inserts land in the
+//     dense near-future cluster.
+//
+// A flat ns/op across 10k -> 1M pending is the calendar queue's O(1)
+// claim; the heap rows show the O(log n) baseline. The calendar rows
+// also report scan/insert, the chain-walk steps per bucket insert: a
+// work counter that, unlike ns/op, repeats exactly at a fixed
+// iteration count (-benchtime Nx).
 func BenchmarkEngineChurn(b *testing.B) {
-	for _, kind := range []struct {
-		name string
-		k    sim.QueueKind
-	}{{"calendar", sim.QueueCalendar}, {"heap", sim.QueueHeap}} {
-		for _, pending := range []int{10_000, 100_000, 1_000_000} {
-			b.Run(fmt.Sprintf("%s/%d", kind.name, pending), func(b *testing.B) {
-				benchEngineChurn(b, kind.k, pending)
-			})
+	for _, mix := range []struct {
+		prefix string
+		fabric bool
+	}{{"", false}, {"fabric/", true}} {
+		for _, kind := range []struct {
+			name string
+			k    sim.QueueKind
+		}{{"calendar", sim.QueueCalendar}, {"heap", sim.QueueHeap}} {
+			for _, pending := range []int{10_000, 100_000, 1_000_000} {
+				b.Run(fmt.Sprintf("%s%s/%d", mix.prefix, kind.name, pending), func(b *testing.B) {
+					benchEngineChurn(b, kind.k, pending, mix.fabric)
+				})
+			}
 		}
 	}
 }
 
-func benchEngineChurn(b *testing.B, kind sim.QueueKind, pending int) {
+// fabricHops is the fabric churn mix's packets in flight.
+const fabricHops = 1024
+
+func benchEngineChurn(b *testing.B, kind sim.QueueKind, pending int, fabric bool) {
 	eng := sim.NewEngineWithQueue(kind)
-	nop := func(any) {}
-	// splitmix-style offsets spread the horizon like real packet events:
-	// dense near now, with a tail of far timers.
+	// A splitmix-style stream keeps every row's schedule deterministic.
 	rnd := uint64(12345)
-	next := func() time.Duration {
+	next := func() uint64 {
 		rnd += 0x9e3779b97f4a7c15
 		x := rnd
-		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-		return time.Duration(x%uint64(10*time.Millisecond)) + time.Nanosecond
+		return (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	}
+	uniform := func() time.Duration { return time.Duration(next()%uint64(10*time.Millisecond)) + time.Nanosecond }
+	hopDelay := func() time.Duration { return time.Microsecond + time.Duration(100+next()%1100) }
+	rtoDelay := func() time.Duration { return time.Millisecond + time.Duration(next()%uint64(9*time.Millisecond)) }
+	nop := func(any) {}
+	var hop, rto func(any)
+	hop = func(any) { eng.ScheduleCall(hopDelay(), hop, nil) }
+	rto = func(any) { eng.ScheduleCall(rtoDelay(), rto, nil) }
+
 	for i := 0; i < pending; i++ {
-		eng.ScheduleCall(next(), nop, nil)
+		switch {
+		case !fabric:
+			eng.ScheduleCall(uniform(), nop, nil)
+		case i < fabricHops:
+			eng.ScheduleCall(hopDelay(), hop, nil)
+		default:
+			eng.ScheduleCall(rtoDelay(), rto, nil)
+		}
 	}
+	before := eng.Stats().Queue
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Step()
-		t := eng.ScheduleCall(next(), nop, nil)
+		if fabric {
+			continue // the fired hop or timer scheduled its own successor
+		}
+		t := eng.ScheduleCall(uniform(), nop, nil)
 		if i%7 == 0 {
 			t.Cancel()
-			eng.ScheduleCall(next(), nop, nil)
+			eng.ScheduleCall(uniform(), nop, nil)
 		}
+	}
+	b.StopTimer()
+	after := eng.Stats().Queue
+	if ins := after.Inserts - before.Inserts; ins > 0 {
+		b.ReportMetric(float64(after.ScanSteps-before.ScanSteps)/float64(ins), "scan/insert")
 	}
 }
 

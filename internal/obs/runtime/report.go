@@ -165,10 +165,11 @@ func workerUtilization(w io.Writer, vals map[string]int64, shards int) {
 		pct(busy, total), pct(blocked, total), pct(idle, total), shards)
 }
 
-// queueChurn aggregates the calendar-queue resize and overflow
-// migration counters across engines, normalized per 1k events.
+// queueChurn aggregates the calendar-queue rebuild and overflow
+// migration counters across engines, normalized per 1k events, and the
+// queue's health: chain-walk steps per bucket insert.
 func queueChurn(w io.Writer, vals map[string]int64) {
-	var grows, shrinks, migr, events int64
+	var grows, shrinks, retunes, migr, inserts, steps, events int64
 	seen := false
 	for n, v := range vals {
 		switch {
@@ -177,8 +178,14 @@ func queueChurn(w io.Writer, vals map[string]int64) {
 			seen = true
 		case strings.HasSuffix(n, ".queue.shrinks"):
 			shrinks += v
+		case strings.HasSuffix(n, ".queue.retunes"):
+			retunes += v
 		case strings.HasSuffix(n, ".queue.migrations"):
 			migr += v
+		case strings.HasSuffix(n, ".queue.inserts"):
+			inserts += v
+		case strings.HasSuffix(n, ".queue.scan_steps"):
+			steps += v
 		case strings.HasSuffix(n, ".processed") && strings.HasPrefix(n, "runtime.engine."):
 			events += v
 		}
@@ -186,8 +193,10 @@ func queueChurn(w io.Writer, vals map[string]int64) {
 	if !seen {
 		return
 	}
-	fmt.Fprintf(w, "queue churn: %d grows, %d shrinks, %.2f overflow migrations/1k events\n",
-		grows, shrinks, 1000*ratio(migr, events))
+	fmt.Fprintf(w, "queue churn: %d grows, %d shrinks, %d retunes, %.2f overflow migrations/1k events\n",
+		grows, shrinks, retunes, 1000*ratio(migr, events))
+	fmt.Fprintf(w, "queue health: %.3f scan/insert (%d chain-walk steps over %d bucket inserts)\n",
+		ratio(steps, inserts), steps, inserts)
 }
 
 func poolPressure(w io.Writer, vals map[string]int64) {

@@ -79,6 +79,9 @@ func (c *Collector) mergeEngine(shard int, st sim.EngineStats) {
 	prev.Queue.Grows += st.Queue.Grows
 	prev.Queue.Shrinks += st.Queue.Shrinks
 	prev.Queue.Migrations += st.Queue.Migrations
+	prev.Queue.Retunes += st.Queue.Retunes
+	prev.Queue.Inserts += st.Queue.Inserts
+	prev.Queue.ScanSteps += st.Queue.ScanSteps
 	c.engines[shard] = prev
 }
 
@@ -215,6 +218,9 @@ func (s Snapshot) Values() map[string]int64 {
 		v[p+"queue.grows"] = int64(e.Queue.Grows)
 		v[p+"queue.shrinks"] = int64(e.Queue.Shrinks)
 		v[p+"queue.migrations"] = int64(e.Queue.Migrations)
+		v[p+"queue.retunes"] = int64(e.Queue.Retunes)
+		v[p+"queue.inserts"] = int64(e.Queue.Inserts)
+		v[p+"queue.scan_steps"] = int64(e.Queue.ScanSteps)
 	}
 	v["runtime.pool.gets"] = int64(s.Pool.Gets)
 	v["runtime.pool.releases"] = int64(s.Pool.Releases)

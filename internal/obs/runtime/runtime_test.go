@@ -128,6 +128,13 @@ func TestCollectorMerges(t *testing.T) {
 	if got, want := snap2.Engines[0].Processed, st1.PerShard[0].Events+st2.PerShard[0].Events; got != want {
 		t.Fatalf("engine 0 processed = %d after merge, want %d", got, want)
 	}
+	q1, q2 := c1.Shards()[0].Engine().Stats().Queue, c2.Shards()[0].Engine().Stats().Queue
+	if got, want := snap2.Engines[0].Queue.Inserts, q1.Inserts+q2.Inserts; got != want || got == 0 {
+		t.Fatalf("engine 0 queue inserts = %d after merge, want %d (nonzero)", got, want)
+	}
+	if got, want := snap2.Engines[0].Queue.ScanSteps, q1.ScanSteps+q2.ScanSteps; got != want {
+		t.Fatalf("engine 0 queue scan steps = %d after merge, want %d", got, want)
+	}
 }
 
 // The report renders every diagnosis section from a real dump without
@@ -142,6 +149,7 @@ func TestReportSections(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"coordinator", "imbalance", "null-advance", "workers", "queue churn",
+		"scan/insert",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q section:\n%s", want, out)

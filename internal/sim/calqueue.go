@@ -1,6 +1,9 @@
 package sim
 
-import "time"
+import (
+	"math/bits"
+	"time"
+)
 
 // calQueue is a lazy calendar queue: the engine's default scheduler.
 //
@@ -9,10 +12,20 @@ import "time"
 // len(buckets) consecutive slices starting at the bucket currently
 // being drained. Insert hashes the event's time to its bucket and chains
 // it into a (at, seq)-sorted intrusive list — O(1) for the common
-// time-ordered arrival (tail append), O(chain) otherwise, with resizing
-// keeping chains short. Pop drains the current bucket, then advances
-// slice by slice; each advance slides the window forward one slice and
-// lazily migrates due events in from the overflow tier.
+// time-ordered arrival (tail append), O(chain) otherwise. Pop drains
+// the current bucket, then advances slice by slice; each advance slides
+// the window forward one slice and lazily migrates due events in from
+// the overflow tier.
+//
+// Two rebuilds keep chains short. A resize doubles or halves the bucket
+// array when the population crosses a power-of-two threshold; a retune
+// rebuilds at the same size when the measured insert cost (chain-walk
+// steps plus overflow migrations) says the width has gone stale — the
+// event mix drifts as a fabric fills and drains, so a width chosen at
+// the last resize can misfit for the rest of a run (Brown's
+// cost-triggered resize, CACM 1988). Either way the width comes from
+// the density of the near-future events (chooseShift), not from the
+// far timers that dominate the mean offset.
 //
 // Far-future events — RTOs, tickers, anything scheduled beyond the
 // window — go to an overflow 4-ary heap (heapQueue) and pay one
@@ -51,6 +64,19 @@ type calQueue struct {
 	grows      uint64
 	shrinks    uint64
 	migrations uint64
+	retunes    uint64
+
+	// Insert-cost accounting: inserts counts bucket-tier insertions and
+	// scanSteps the chain links they walked past. Both also drive the
+	// retune trigger (checkCost), so Engine.Stats reads them for free.
+	inserts   uint64
+	scanSteps uint64
+	// checkAt is the inserts count at which push next checks whether
+	// excess() grew since checkExcess was taken; backoff doubles the
+	// check interval after each retune that left the width unchanged.
+	checkAt     uint64
+	checkExcess int64
+	backoff     uint
 }
 
 // calBucket chains events whose time hashes to this slice, sorted
@@ -68,6 +94,27 @@ const (
 	// computes a data-driven one: 2^10 ns ~= 1us (packet-level workloads
 	// cluster around microsecond-scale serialization deltas).
 	calInitShift = 10
+	// calRetuneWindow is the minimum number of inserts between two cost
+	// checks; the interval also scales with the population, so a
+	// retune's O(len) rebuild amortizes to O(1) per insert.
+	calRetuneWindow = 1024
+	// calRetuneSteps is the mean insert cost, in chain-walk steps, above
+	// which a check re-picks the width. A well-sized calendar walks well
+	// under one link per insert; a stale width walks tens.
+	calRetuneSteps = 2
+	// calMigrateSteps prices an overflow migration in chain-walk steps:
+	// it pays a heap push and pop (a few 4-ary sift levels) plus the
+	// bucket insert. A window too narrow for the near-future cluster
+	// walks no chains but routes the cluster through the heap, and this
+	// makes the retune trigger see it.
+	calMigrateSteps = 8
+	// calLoadLog2 is log2 of the events per bucket chooseShift allows in
+	// the densest octave of the window.
+	calLoadLog2 = 2
+	// calMaxBackoff caps the check interval's doubling (2^6 = 64x) for a
+	// workload whose cost no width fixes, such as a cluster packed
+	// denser than one event per nanosecond, the narrowest width.
+	calMaxBackoff = 6
 )
 
 func newCalQueue() *calQueue {
@@ -77,15 +124,11 @@ func newCalQueue() *calQueue {
 		width:   1 << calInitShift,
 	}
 	c.anchor(0)
+	c.restartCheck()
 	return c
 }
 
 func (c *calQueue) len() int { return c.count + c.overflow.len() }
-
-// span is the width of the active window.
-func (c *calQueue) span() time.Duration {
-	return c.width * time.Duration(len(c.buckets))
-}
 
 // anchor positions the window so the slice containing time at is the
 // current bucket. Callers must migrate (or reinsert) afterwards if
@@ -101,6 +144,8 @@ func (c *calQueue) anchor(at time.Duration) {
 // grow trigger counts both tiers: the window must widen with the total
 // pending population, or a long-horizon workload would pool in the
 // overflow heap and pay its O(log n) on every event.
+//
+// Once per check interval push also runs the retune trigger (checkCost).
 func (c *calQueue) push(ev *event) {
 	if ev.at >= c.winEnd {
 		c.overflow.push(ev)
@@ -124,11 +169,52 @@ func (c *calQueue) push(ev *event) {
 	}
 	if c.count+c.overflow.len() > 2*len(c.buckets) {
 		c.rebuild(2 * len(c.buckets))
+	} else if c.inserts >= c.checkAt {
+		c.checkCost()
 	}
+}
+
+// checkCost retunes the width when the inserts since the last check
+// cost more than calRetuneSteps each: the chain links they walked plus
+// calMigrateSteps per overflow migration. A retune that picks the width
+// already in use fixed nothing, so it doubles the interval before the
+// next check (up to calMaxBackoff doublings); one that moves the width
+// resets it.
+func (c *calQueue) checkCost() {
+	if c.excess() <= c.checkExcess {
+		c.restartCheck()
+		return
+	}
+	shift := c.shift
+	c.retunes++
+	c.rebuild(len(c.buckets))
+	if c.shift != shift {
+		c.backoff = 0
+	} else if c.backoff < calMaxBackoff {
+		c.backoff++
+	}
+	c.restartCheck() // again: the interval depends on the new backoff
+}
+
+// excess is the queue's lifetime insert cost beyond calRetuneSteps per
+// insert: chain-walk steps plus calMigrateSteps per migration, less
+// calRetuneSteps per bucket insert. It grows over a window exactly when
+// that window's inserts cost more than the bound.
+func (c *calQueue) excess() int64 {
+	return int64(c.scanSteps+calMigrateSteps*c.migrations) - int64(calRetuneSteps*c.inserts)
+}
+
+// restartCheck opens a new cost window at the current counts. Every
+// rebuild restarts it, so a window never charges the rebuild's own
+// reinsertions to the steady state.
+func (c *calQueue) restartCheck() {
+	c.checkExcess = c.excess()
+	c.checkAt = c.inserts + uint64(max(calRetuneWindow, c.len()))<<c.backoff
 }
 
 // insertBucket chains ev into its slice's sorted list.
 func (c *calQueue) insertBucket(ev *event) {
+	c.inserts++
 	b := &c.buckets[int(uint64(ev.at>>c.shift)&uint64(len(c.buckets)-1))]
 	switch {
 	case b.tail == nil:
@@ -144,10 +230,12 @@ func (c *calQueue) insertBucket(ev *event) {
 		ev.next = b.head
 		b.head = ev
 	default:
-		p := b.head
+		p, steps := b.head, uint64(0)
 		for !eventLess(ev, p.next) {
 			p = p.next
+			steps++
 		}
+		c.scanSteps += steps
 		ev.next = p.next
 		p.next = ev
 	}
@@ -272,28 +360,21 @@ func (c *calQueue) directMin() *event {
 	return min
 }
 
-// rebuild resizes to nb buckets, recomputing the slice width from the
-// live events (both tiers) so the common case spreads across the window
-// with O(1) expected chain length and only genuine outliers return to
-// overflow. Runs in O(len); triggered only when the population crosses
-// a power-of-two threshold, so the cost amortizes to O(1) per operation.
+// rebuild resizes to nb buckets (or retunes at the current size),
+// recomputing the slice width from the live events of both tiers so the
+// near-future cluster spreads across the window with O(1) expected
+// chain length and only genuine outliers return to overflow. Runs in
+// O(len); grows and shrinks fire only when the population crosses a
+// power-of-two threshold and retunes at most once per check interval,
+// so the cost amortizes to O(1) per operation.
 func (c *calQueue) rebuild(nb int) {
-	evs := c.collect()
-	for {
-		if nb > len(c.buckets) {
-			c.grows++
-		} else if nb < len(c.buckets) {
-			c.shrinks++
-		}
-		c.layout(nb, evs)
-		if c.count+c.overflow.len() <= 2*nb {
-			return
-		}
-		// The window left more of the population in overflow than the
-		// target chain length budgets for; grow again.
-		evs = c.collect()
-		nb *= 2
+	if nb > len(c.buckets) {
+		c.grows++
+	} else if nb < len(c.buckets) {
+		c.shrinks++
 	}
+	c.layout(nb, c.collect())
+	c.restartCheck()
 }
 
 // collect drains every bucket chain and the overflow tier into the
@@ -344,47 +425,58 @@ func (c *calQueue) layout(nb int, evs []*event) {
 }
 
 // chooseShift picks the slice width exponent (width = 2^shift ns) for
-// nb buckets from an *effective* span: four times the events' mean
-// offset past their minimum, capped at the true span. For a uniform
-// spread that is ~2x the span, so the window covers every event at
-// ~0.5 per bucket; for a skewed population (a dense near-future cluster
-// plus a few far tickers or RTOs) the mean keeps the window sized for
-// the cluster while the outliers return to the overflow tier — using
-// the raw span there would stretch the slices until the whole cluster
-// crowded into one chain. The width rounds up to a power of two so the
-// at->bucket hash stays a shift. Degenerate spans (fewer than two
-// events, or all at one instant) keep the previous width: any width
-// drains a point cluster in O(1) per pop once the scan reaches it. The
-// choice depends only on queue content, never on wall-clock state, so
-// identical runs resize identically (determinism).
+// nb buckets from the density of the events near the head, in the
+// spirit of Brown's head-spacing rule. Packet-level runs pair a dense
+// cluster of link deliveries and transmit completions (microseconds
+// ahead, spaced by serialization times) with a scattering of far RTO
+// and pacing timers (milliseconds ahead), often more of the latter:
+// a width sized from the mean or even the median offset can crowd the
+// whole cluster into a few long chains.
+//
+// Offsets past the earliest event are binned by octave: bins[j] counts
+// those in [2^(j-1), 2^j), so its density is bins[j]/2^(j-1) events per
+// ns. The rule widens the slice, one doubling at a time, while every
+// octave inside the window averages at most 2^calLoadLog2 events per
+// bucket, and stops once the window covers every event. Octaves beyond
+// the window are far timers bound for overflow and do not constrain it;
+// events at the earliest instant itself (bins[0]) are next to pop and
+// append in sequence order, so they do not either. A point cluster
+// (fewer than two events, or all at one instant) keeps the previous
+// width: any width drains it in O(1) per pop once the scan reaches it.
+//
+// The rule is O(len) with no sort and no scratch, and depends only on
+// queue content, never on wall-clock state, so identical runs resize
+// identically (determinism).
 func chooseShift(old uint, nb int, evs []*event) uint {
 	if len(evs) < 2 {
 		return old
 	}
-	lo, hi := evs[0].at, evs[0].at
+	lo := evs[0].at
 	for _, ev := range evs[1:] {
-		if ev.at < lo {
-			lo = ev.at
-		}
-		if ev.at > hi {
-			hi = ev.at
-		}
+		lo = min(lo, ev.at)
 	}
-	if hi == lo {
+	var bins [64]int
+	top := 0
+	for _, ev := range evs {
+		j := bits.Len64(uint64(ev.at - lo))
+		bins[j]++
+		top = max(top, j)
+	}
+	if top == 0 {
 		return old
 	}
-	var sum time.Duration
-	for _, ev := range evs {
-		sum += ev.at - lo
+	k := bits.Len(uint(nb)) - 1 // nb = 2^k, so the window is 2^(shift+k)
+	shift := 0
+	for ; shift+k < top; shift++ {
+		// Widening to shift+1 doubles every octave's load per bucket
+		// and pulls octave shift+1+k into the window. The load bound
+		// bins[j] * 2^(shift+1) <= 2^(calLoadLog2+j-1) is compared in
+		// log2 so no shift overflows.
+		for j := 1; j <= min(shift+1+k, top); j++ {
+			if bins[j] > 0 && bits.Len(uint(bins[j]-1))+shift+1 > calLoadLog2+j-1 {
+				return uint(shift)
+			}
+		}
 	}
-	span := 4 * (sum / time.Duration(len(evs)))
-	if span > hi-lo || span <= 0 {
-		span = hi - lo
-	}
-	width := span/time.Duration(nb) + 1
-	var shift uint
-	for time.Duration(1)<<shift < width {
-		shift++
-	}
-	return shift
+	return uint(shift)
 }

@@ -272,6 +272,112 @@ func TestCalendarResizeCycle(t *testing.T) {
 	}
 }
 
+// popRec is one fired event of a fabric mix: its time and flow.
+type popRec struct {
+	at   time.Duration
+	flow int
+}
+
+// fabricMix drives one engine through a fabric-shaped event mix and
+// returns its pop order plus the queue's stats. Each of 64 flows keeps
+// one packet in flight that hops link to link, the next hop scheduled
+// at now+prop+ser (1us plus a 0.1-1.2us serialization time), so the
+// flows' near-future events sit about a microsecond apart. About one
+// hop in 64 is an ACK that cancels the flow's RTO-like timer and
+// re-arms it 1-10ms out, so cancelled far timers pile up as the transport's lazily
+// cancelled RTOs do, outnumbering the packets several times over.
+// far > 0 first plants that many timers spread over 10-20ms, so the
+// queue sizes its width for them before the first packet moves.
+func fabricMix(kind QueueKind, far int) ([]popRec, QueueStats) {
+	const flows, hops = 64, 200_000
+	rng := rand.New(rand.NewSource(1))
+	e := NewEngineWithQueue(kind)
+	var trace []popRec
+	record := func(arg any) { trace = append(trace, popRec{e.Now(), arg.(int)}) }
+	rto := make([]Timer, flows)
+	armRTO := func(f int) {
+		rto[f].Cancel()
+		rto[f] = e.ScheduleCall(time.Millisecond+time.Duration(rng.Int63n(int64(9*time.Millisecond))), record, f)
+	}
+	fired := 0
+	var hop func(arg any)
+	hop = func(arg any) {
+		record(arg)
+		if fired++; fired >= hops {
+			return
+		}
+		f := arg.(int)
+		if rng.Intn(64) == 0 {
+			armRTO(f)
+		}
+		e.ScheduleCall(time.Microsecond+time.Duration(100+rng.Intn(1100)), hop, f)
+	}
+	for i := 0; i < far; i++ {
+		e.ScheduleCall(10*time.Millisecond+time.Duration(rng.Int63n(int64(10*time.Millisecond))), record, -1)
+	}
+	for f := 0; f < flows; f++ {
+		armRTO(f)
+		e.ScheduleCall(time.Duration(rng.Intn(10_000)), hop, f)
+	}
+	e.Run()
+	return trace, e.Stats().Queue
+}
+
+// checkFabricMix runs fabricMix under both queues, requires the
+// calendar to pop in exactly the reference heap's order, and returns
+// the calendar's stats.
+func checkFabricMix(t *testing.T, far int) QueueStats {
+	t.Helper()
+	heap, _ := fabricMix(QueueHeap, far)
+	cal, st := fabricMix(QueueCalendar, far)
+	if len(heap) != len(cal) {
+		t.Fatalf("pop counts differ: heap %d, calendar %d", len(heap), len(cal))
+	}
+	for i := range heap {
+		if heap[i] != cal[i] {
+			t.Fatalf("pop order diverges at %d: heap %v, calendar %v", i, heap[i], cal[i])
+		}
+	}
+	if st.Inserts == 0 {
+		t.Fatal("no bucket inserts counted")
+	}
+	t.Logf("%d inserts, %.3f scan/insert, %d retunes, %d grows, %d migrations",
+		st.Inserts, float64(st.ScanSteps)/float64(st.Inserts), st.Retunes, st.Grows, st.Migrations)
+	return st
+}
+
+// TestCalendarScanBound is the calendar queue's work-counter regression
+// gate. On a fabric-shaped mix the far timers dominate the mean event
+// offset; a width sized from it crowds every in-flight packet into one
+// chain, and each insert then walks tens of links. The queue must keep
+// the mean walk at or below 2 links per bucket insert, retune at most
+// once per several thousand inserts, and pop in exactly the reference
+// heap's order.
+func TestCalendarScanBound(t *testing.T) {
+	st := checkFabricMix(t, 0)
+	if scan := float64(st.ScanSteps) / float64(st.Inserts); scan > 2 {
+		t.Fatalf("%.2f chain-walk steps per insert (%d over %d inserts), want <= 2",
+			scan, st.ScanSteps, st.Inserts)
+	}
+	if st.Retunes*4096 > st.Inserts {
+		t.Fatalf("%d retunes over %d inserts, want at most one per 4096", st.Retunes, st.Inserts)
+	}
+}
+
+// TestCalendarRetune checks the cost-triggered retune. Far timers
+// planted first size the width for themselves; when the packets start
+// hopping, the population stays under the next grow threshold, so only
+// a retune can narrow the width to the packets' spacing.
+func TestCalendarRetune(t *testing.T) {
+	st := checkFabricMix(t, 2500)
+	if st.Retunes == 0 {
+		t.Fatal("no retune: the width sized for the far timers was never re-picked")
+	}
+	if scan := float64(st.ScanSteps) / float64(st.Inserts); scan > 2 {
+		t.Fatalf("%.2f chain-walk steps per insert after retuning, want <= 2", scan)
+	}
+}
+
 // TestFreeListAdaptiveBound checks the engine's record pool tracks the
 // pending high-water mark instead of the old fixed 1024 cap: after a
 // drain, a refill to the same population should reuse records rather

@@ -7,9 +7,12 @@
 // experiment in this repository reproducible bit-for-bit. Two
 // schedulers implement that contract behind the eventQueue interface: a
 // lazy calendar queue (the default — O(1) amortized insert/pop, with an
-// overflow heap tier for far-future timers) and the original 4-ary heap
-// (O(log n), kept as the reference for differential determinism tests
-// and selectable via NewEngineWithQueue).
+// overflow heap tier for far-future timers; its bucket width follows the
+// density of the near-future events and is re-picked whenever the
+// measured insert cost says it has gone stale) and the original 4-ary
+// heap (O(log n), kept as the reference for differential determinism
+// tests and selectable via NewEngineWithQueue). Engine.Stats reports
+// the calendar's insert cost as chain-walk steps per bucket insert.
 //
 // Two scheduling forms exist. Schedule/ScheduleAt take a plain func()
 // closure — convenient, but every call site that captures state

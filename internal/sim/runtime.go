@@ -336,8 +336,10 @@ func (e *Engine) SetMonitor(m *Monitor) {
 const monPublishEvery = 4096
 
 // QueueStats is the scheduler's self-profile: the calendar queue's
-// geometry and churn counters (zero Kind "heap" rows for the reference
-// heap, which has no adaptive state to report).
+// geometry, its churn counters (grows, shrinks, cost-triggered retunes
+// and overflow migrations) and its insert cost (inserts and the
+// chain-walk steps they paid). The reference heap reports a bare Kind
+// "heap" row: it has no adaptive state.
 type QueueStats struct {
 	// Kind is "calendar" or "heap".
 	Kind string `json:"kind"`
@@ -350,6 +352,14 @@ type QueueStats struct {
 	// Migrations counts events pulled from the overflow heap tier into
 	// the bucket window.
 	Migrations uint64 `json:"migrations,omitempty"`
+	// Retunes counts same-size rebuilds triggered by insert cost.
+	Retunes uint64 `json:"retunes,omitempty"`
+	// Inserts counts bucket-tier insertions (pushes, migrations and
+	// rebuild reinsertions); ScanSteps counts the chain links they
+	// walked past. ScanSteps/Inserts is the queue's health: under one
+	// when the width fits the event mix, tens when it has gone stale.
+	Inserts   uint64 `json:"inserts,omitempty"`
+	ScanSteps uint64 `json:"scanSteps,omitempty"`
 }
 
 // EngineStats is a point-in-time self-profile of one engine.
@@ -364,10 +374,11 @@ type EngineStats struct {
 	Queue    QueueStats `json:"queue"`
 }
 
-// Stats snapshots the engine's self-profile. The churn counters are
-// maintained unconditionally: they increment on resize and
-// overflow-migration paths, which are rare next to the pops they
-// amortize against.
+// Stats snapshots the engine's self-profile. The counters are
+// maintained unconditionally: the churn counters increment on resize
+// and overflow-migration paths, which are rare next to the pops they
+// amortize against, and the insert-cost counters are two increments
+// the calendar's retune trigger needs anyway.
 func (e *Engine) Stats() EngineStats {
 	st := EngineStats{
 		Now:       e.now,
@@ -385,6 +396,9 @@ func (e *Engine) Stats() EngineStats {
 			Grows:      q.grows,
 			Shrinks:    q.shrinks,
 			Migrations: q.migrations,
+			Retunes:    q.retunes,
+			Inserts:    q.inserts,
+			ScanSteps:  q.scanSteps,
 		}
 	case *heapQueue:
 		st.Queue = QueueStats{Kind: "heap"}
