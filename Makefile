@@ -7,19 +7,24 @@ GO ?= go
 all: build vet test
 
 # Everything .github/workflows/ci.yml runs, in the same order. The
-# trace-codec fuzz pass is fail-soft: ten seconds of coverage-guided
-# decoding catches framing bugs early, but a fuzz-capable toolchain is
-# not required to pass CI.
+# fuzz passes are fail-soft: ten seconds of coverage-guided input per
+# parser catches decoding bugs early, but a fuzz-capable toolchain is
+# not required to pass CI. simbench/ is a separate module (built
+# against this one via `replace pmsb => ../`), so it gets its own vet
+# and test step.
 ci:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	cd simbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -run TestJobsDeterminism -count=1 ./cmd/pmsbsim
 	-$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/obs/
+	-$(GO) test -run '^$$' -fuzz FuzzReadTrace -fuzztime 10s ./internal/workload/
+	-$(GO) test -run '^$$' -fuzz FuzzParseGroups -fuzztime 10s ./cmd/pmsbflow/
 	# Runtime-introspection smoke: a sharded run with live progress and a
 	# self-profile dump, rendered back through pmsbstat -runtime.
-	$(GO) run ./cmd/pmsbsim -experiment fattree-incast -quick -shards 4 -par channel-steal \
+	$(GO) run ./cmd/pmsbsim -experiment fattree-incast -quick -shards 4 \
 		-progress=100ms -runtimestats ci_runtime.rtstats > /dev/null
 	$(GO) run ./cmd/pmsbstat -runtime ci_runtime.rtstats > /dev/null
 	@rm -f ci_runtime.rtstats
@@ -70,7 +75,7 @@ bench:
 	# Fail-soft: record the sharded fat-tree's runtime self-profile next
 	# to the benchmark numbers, so perf regressions come with the
 	# coordinator's own accounting of where the time went.
-	-$(GO) run ./cmd/pmsbsim -experiment fattree -shards 4 -par channel-steal \
+	-$(GO) run ./cmd/pmsbsim -experiment fattree -shards 4 \
 		-runtimestats $(BENCH_RTSTATS) > /dev/null && \
 		$(GO) run ./cmd/pmsbstat -runtime $(BENCH_RTSTATS)
 

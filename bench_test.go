@@ -318,12 +318,9 @@ func driveFatTreeFlows(b *testing.B, ft *topo.FatTree, coord *sim.Coordinator, b
 
 // reportScan reports the calendar queue's chain-walk steps per bucket
 // insert, summed over engines: a work counter, so unlike ns/op it
-// repeats exactly from run to run and machine to machine wherever the
-// sequence of queue operations does — serial engines, global windows
-// and 1-2 channel shards. Channel clocks at 4+ shards grant windows in
-// worker-timing order, which moves where cross-shard injections land
-// among local inserts (never the pop order), so those rows vary a
-// little.
+// repeats exactly from run to run and machine to machine, serial or
+// sharded: barrier windows and their outbox drains happen in the same
+// order whatever the worker timing.
 func reportScan(b *testing.B, engs ...*sim.Engine) {
 	b.Helper()
 	var ins, steps uint64
@@ -338,31 +335,18 @@ func reportScan(b *testing.B, engs ...*sim.Engine) {
 }
 
 // BenchmarkFatTreeSharded runs the same k=8 fat-tree workload through
-// the shard coordinator at increasing shard counts and under both
-// windowing protocols (1 shard is the degenerate serial path and
-// measures pure coordinator overhead; the sharded runs split the pods
-// and cores across engines). global vs channel at the same shard count
-// is the A/B for the per-channel-clock protocol — identical payloads,
-// different window widths. Compare against BenchmarkFatTree for the
-// serial baseline.
+// the shard coordinator at increasing shard counts (1 shard is the
+// degenerate serial path and measures pure coordinator overhead; the
+// sharded runs split the pods and cores across engines). Compare
+// against BenchmarkFatTree for the serial baseline.
 func BenchmarkFatTreeSharded(b *testing.B) {
-	for _, v := range []struct {
-		name  string
-		mode  sim.ParMode
-		steal bool
-	}{
-		{"global", sim.ParGlobal, false},
-		{"channel", sim.ParChannel, false},
-		{"channel-steal", sim.ParChannel, true},
-	} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/%d", v.name, shards), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					runFatTreeShardedOnce(b, 8, shards, v.mode, v.steal)
-				}
-			})
-		}
+	for _, shards := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runFatTreeShardedOnce(b, 8, shards)
+			}
+		})
 	}
 }
 
@@ -372,10 +356,10 @@ func BenchmarkFatTreeSharded(b *testing.B) {
 // row measures fabric overhead growth, not extra traffic.
 func BenchmarkFatTree16Sharded(b *testing.B) {
 	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("channel/%d", shards), func(b *testing.B) {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				runFatTreeShardedOnce(b, 16, shards, sim.ParChannel, false)
+				runFatTreeShardedOnce(b, 16, shards)
 			}
 		})
 	}
@@ -388,7 +372,7 @@ func BenchmarkFatTree16Sharded(b *testing.B) {
 // k=8/k=16 rows, so the delta across rows is fabric scale, not traffic.
 func BenchmarkFatTree32Sharded(b *testing.B) {
 	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("channel/%d", shards), func(b *testing.B) {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				runFatTree32ShardedOnce(b, shards)
@@ -403,7 +387,6 @@ func BenchmarkFatTree32Sharded(b *testing.B) {
 func runFatTree32ShardedOnce(b *testing.B, shards int) {
 	b.Helper()
 	coord := sim.NewCoordinator()
-	coord.SetMode(sim.ParChannel)
 	ft, _ := topo.NewFatTreeSharded(coord, topo.FatTreeConfig{
 		K: 32,
 		Ports: topo.PortProfile{
@@ -419,11 +402,9 @@ func runFatTree32ShardedOnce(b *testing.B, shards int) {
 	driveFatTreeFlows(b, ft, coord, nil)
 }
 
-func runFatTreeShardedOnce(b *testing.B, k, shards int, mode sim.ParMode, steal bool) {
+func runFatTreeShardedOnce(b *testing.B, k, shards int) {
 	b.Helper()
 	coord := sim.NewCoordinator()
-	coord.SetMode(mode)
-	coord.SetWorkStealing(steal)
 	ft, _ := topo.NewFatTreeSharded(coord, topo.FatTreeConfig{
 		K: k,
 		Ports: topo.PortProfile{

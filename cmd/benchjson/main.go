@@ -54,7 +54,9 @@ type Metrics struct {
 // envInfo records the machine and source state a report was produced
 // under, embedded as the report's "_env" entry. Perf numbers are only
 // comparable across reports from the same hardware and parallelism; the
-// git SHA ties the numbers to the code they measured. The underscore
+// git SHA ties the numbers to the code they measured, and git_dirty
+// says whether the work tree had changes the SHA does not name. The
+// underscore
 // key cannot collide with a benchmark name (they all start with
 // "Benchmark"), and the baseline comparison, which decodes entries as
 // Metrics, ignores it by construction.
@@ -63,20 +65,42 @@ type envInfo struct {
 	GoMaxProcs int    `json:"gomaxprocs"`
 	GoVersion  string `json:"go_version"`
 	GitSHA     string `json:"git_sha,omitempty"`
+	GitDirty   *bool  `json:"git_dirty,omitempty"`
 }
 
 // captureEnv snapshots the environment. The git lookup is fail-soft: a
-// run outside a work tree (or without git) just omits the SHA.
+// run outside a work tree (or without git) just omits the SHA and the
+// dirty flag.
 func captureEnv() envInfo {
 	e := envInfo{
 		NumCPU:     runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
 	}
-	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
-		e.GitSHA = strings.TrimSpace(string(out))
-	}
+	e.GitSHA, e.GitDirty = gitState("")
 	return e
+}
+
+// gitState returns the short HEAD SHA of the work tree at dir ("" is
+// the current directory) and whether the tree has changes, untracked
+// files included, like the vcs.modified flag Go stamps into binaries.
+// Outside a work tree both are zero.
+func gitState(dir string) (sha string, dirty *bool) {
+	git := func(args ...string) ([]byte, error) {
+		cmd := exec.Command("git", args...)
+		cmd.Dir = dir
+		return cmd.Output()
+	}
+	out, err := git("rev-parse", "--short", "HEAD")
+	if err != nil {
+		return "", nil
+	}
+	sha = strings.TrimSpace(string(out))
+	if st, err := git("status", "--porcelain"); err == nil {
+		d := len(strings.TrimSpace(string(st))) > 0
+		dirty = &d
+	}
+	return sha, dirty
 }
 
 func main() {

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -143,12 +144,17 @@ func TestEnvEntry(t *testing.T) {
 		NumCPU     int    `json:"num_cpu"`
 		GoMaxProcs int    `json:"gomaxprocs"`
 		GoVersion  string `json:"go_version"`
+		GitSHA     string `json:"git_sha"`
+		GitDirty   *bool  `json:"git_dirty"`
 	}
 	if err := json.Unmarshal(report["_env"], &env); err != nil {
 		t.Fatalf("_env entry missing or malformed: %v\n%s", err, body)
 	}
 	if env.NumCPU < 1 || env.GoMaxProcs < 1 || env.GoVersion == "" {
 		t.Fatalf("_env not populated: %+v", env)
+	}
+	if env.GitSHA != "" && env.GitDirty == nil {
+		t.Fatalf("_env names SHA %s without a dirty flag:\n%s", env.GitSHA, body)
 	}
 
 	// A baseline produced by this version (with "_env") compares
@@ -255,5 +261,61 @@ func TestBaselineCompare(t *testing.T) {
 	}
 	if !strings.Contains(echo.String(), "no baseline comparison") {
 		t.Fatalf("corrupt-baseline note absent:\n%s", echo.String())
+	}
+}
+
+// TestGitDirty: the _env dirty flag tracks the work tree — false on a
+// clean checkout, true once a tracked file changes or an untracked one
+// appears — and both git fields are absent outside a work tree.
+func TestGitDirty(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("git not installed")
+	}
+	if sha, dirty := gitState(t.TempDir()); sha != "" || dirty != nil {
+		t.Fatalf("outside a work tree: sha %q, dirty %v; want both unset", sha, dirty)
+	}
+	dir := t.TempDir()
+	git := func(args ...string) {
+		t.Helper()
+		cmd := exec.Command("git", append([]string{"-c", "user.name=t", "-c", "user.email=t@t",
+			"-c", "commit.gpgsign=false"}, args...)...)
+		cmd.Dir = dir
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+	}
+	file := filepath.Join(dir, "a.go")
+	write := func(path, body string) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	git("init", "-q")
+	write(file, "package a\n")
+	git("add", "a.go")
+	git("commit", "-q", "-m", "init")
+	check := func(want bool) {
+		t.Helper()
+		sha, dirty := gitState(dir)
+		if sha == "" || dirty == nil || *dirty != want {
+			t.Fatalf("gitState = %q, %v; want a SHA and dirty=%v", sha, dirty, want)
+		}
+	}
+	check(false)
+	write(file, "package a // edited\n")
+	check(true)
+	git("checkout", "-q", "--", "a.go")
+	check(false)
+	write(filepath.Join(dir, "b.go"), "package a\n")
+	check(true)
+
+	// The flag lands in the report's _env entry next to the SHA.
+	b, err := json.Marshal(envInfo{GitSHA: "abc1234", GitDirty: new(bool)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"git_dirty":false`) {
+		t.Fatalf("clean tree not recorded: %s", b)
 	}
 }

@@ -10,7 +10,9 @@
 //	pmsbflow -groups 2x0 -marker tcn -portk 16 -dur 200ms
 //
 // The -groups grammar is a comma-separated list of COUNTxSERVICE flow
-// groups; queue weights default to 1 each (override with -weights).
+// groups: SERVICE is a 6-bit DSCP value (0..63) and the counts sum to
+// at most 4096 flows. Queue weights default to 1 each (override with
+// -weights).
 package main
 
 import (
@@ -60,7 +62,7 @@ type group struct {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pmsbflow", flag.ContinueOnError)
 	var (
-		groupsArg  = fs.String("groups", "1x0,8x1", "flow groups as COUNTxSERVICE, comma separated")
+		groupsArg  = fs.String("groups", "1x0,8x1", "flow groups as COUNTxSERVICE, comma separated (SERVICE 0..63, at most 4096 flows in total)")
 		weightsArg = fs.String("weights", "", "queue weights, comma separated (default: 1 per used queue)")
 		schedArg   = fs.String("sched", "wfq", "scheduler: fifo, wrr, dwrr, wfq, sp, spwfq")
 		markerArg  = fs.String("marker", "pmsb", "marker: none, perqueue, fractional, perport, mqecn, tcn, red, pmsb, pmsbe")
@@ -100,10 +102,22 @@ func run(args []string, out io.Writer) error {
 	return simulate(sc, out)
 }
 
+const (
+	// maxGroupService is the highest service a group may name: the
+	// service is the packet's 6-bit DSCP field (pkt.Packet.Service), and
+	// each service up to the highest one used gets its own queue.
+	maxGroupService = 63
+	// maxGroupFlows caps the flows across all groups. Every flow is a
+	// sender host with its own access link on the dumbbell, so the
+	// scenario's memory and run time grow with the count; 4096 is far
+	// beyond any fairness experiment and far below what exhausts memory.
+	maxGroupFlows = 4096
+)
+
 // parseGroups parses "1x0,8x1" into groups and the highest service.
 func parseGroups(s string) ([]group, int, error) {
 	var out []group
-	maxService := 0
+	maxService, flows := 0, 0
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -117,9 +131,13 @@ func parseGroups(s string) ([]group, int, error) {
 		if err != nil || count < 1 {
 			return nil, 0, fmt.Errorf("group %q: bad count", part)
 		}
+		if count > maxGroupFlows-flows {
+			return nil, 0, fmt.Errorf("group %q: more than %d flows in total", part, maxGroupFlows)
+		}
+		flows += count
 		service, err := strconv.Atoi(svc)
-		if err != nil || service < 0 {
-			return nil, 0, fmt.Errorf("group %q: bad service", part)
+		if err != nil || service < 0 || service > maxGroupService {
+			return nil, 0, fmt.Errorf("group %q: bad service (want 0..%d)", part, maxGroupService)
 		}
 		if service > maxService {
 			maxService = service

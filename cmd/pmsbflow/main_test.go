@@ -7,6 +7,20 @@ import (
 	"testing"
 )
 
+// badGroups lists -groups values parseGroups must reject; it also seeds
+// FuzzParseGroups.
+var badGroups = []string{
+	"", "x1", "1x", "0x1", "-1x0", "1x-2", "ax b",
+	"1x64",                   // service past the 6-bit DSCP field
+	"1x0,1x2147483647",       // service far past it
+	"99999999999x0",          // one group past the flow limit
+	"4096x0,1x1",             // the sum past the flow limit
+	"9223372036854775807x0",  // count at the int limit
+	"4000x0,4000x1,4000x2",   // sum that must not wrap
+	"1x99999999999999999999", // service past int
+	"99999999999999999999x0", // count past int
+}
+
 func TestParseGroups(t *testing.T) {
 	groups, maxSvc, err := parseGroups("1x0, 8x1,2x3")
 	if err != nil {
@@ -18,11 +32,49 @@ func TestParseGroups(t *testing.T) {
 	if groups[1].count != 8 || groups[1].service != 1 {
 		t.Fatalf("group[1] = %+v", groups[1])
 	}
-	for _, bad := range []string{"", "x1", "1x", "0x1", "-1x0", "1x-2", "ax b"} {
+	for _, bad := range badGroups {
 		if _, _, err := parseGroups(bad); err == nil {
 			t.Fatalf("parseGroups(%q) should fail", bad)
 		}
 	}
+	// The limits themselves are accepted.
+	for _, ok := range []string{"1x63", "4096x0", "4095x0,1x63"} {
+		if _, _, err := parseGroups(ok); err != nil {
+			t.Fatalf("parseGroups(%q): %v", ok, err)
+		}
+	}
+}
+
+// FuzzParseGroups: any -groups string either fails with an error or
+// yields groups inside the limits that keep a scenario's memory
+// bounded — never a panic.
+func FuzzParseGroups(f *testing.F) {
+	for _, s := range append([]string{"1x0,8x1", "1x0, 8x1,2x3", "4096x63"}, badGroups...) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		groups, maxSvc, err := parseGroups(s)
+		if err != nil {
+			return
+		}
+		if len(groups) == 0 {
+			t.Fatalf("parseGroups(%q) accepted no groups", s)
+		}
+		flows, top := 0, 0
+		for _, g := range groups {
+			if g.count < 1 || g.service < 0 || g.service > maxGroupService {
+				t.Fatalf("parseGroups(%q) accepted group %+v", s, g)
+			}
+			flows += g.count
+			top = max(top, g.service)
+		}
+		if flows > maxGroupFlows {
+			t.Fatalf("parseGroups(%q) accepted %d flows", s, flows)
+		}
+		if maxSvc != top {
+			t.Fatalf("parseGroups(%q) max service %d, groups say %d", s, maxSvc, top)
+		}
+	})
 }
 
 func TestParseWeights(t *testing.T) {

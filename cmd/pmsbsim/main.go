@@ -75,7 +75,6 @@ func run(args []string, stdout io.Writer) error {
 		out       = fs.String("out", "", "write output to this file instead of stdout")
 		jobs      = fs.Int("jobs", runtime.NumCPU(), "max experiments simulated in parallel (payload is identical at any value)")
 		shards    = fs.Int("shards", 1, "shard each large-scale simulation across this many parallel engines (a sharded run costs that many -jobs tokens; output is deterministic at any fixed value)")
-		par       = fs.String("par", "channel", "parallel windowing protocol for sharded runs: channel, channel-steal, or global (all byte-identical; A/B escape hatch)")
 		engine    = fs.String("engine", "packet", "simulation engine for the scenario experiments: packet (ground truth) or flow (fluid fast path); others ignore it")
 		summary   = fs.Bool("summary", true, "append the run manifest as a trailing '# summary' block (tsv only)")
 		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with 'go tool pprof')")
@@ -164,16 +163,12 @@ func run(args []string, stdout io.Writer) error {
 	if *shards < 1 {
 		return fmt.Errorf("-shards must be >= 1 (got %d)", *shards)
 	}
-	parMode, steal, err := sim.ParseParMode(*par)
-	if err != nil {
-		return err
-	}
 	if *engine != "packet" && *engine != "flow" {
 		return fmt.Errorf("unknown engine %q (want packet or flow)", *engine)
 	}
 	opt := experiment.Options{
 		Quick: *quick, Seed: *seed, Repeats: *repeats,
-		Shards: *shards, Par: parMode, Steal: steal,
+		Shards: *shards,
 		Engine: *engine,
 	}
 	// Runtime introspection (-progress, -runtimestats) observes a single

@@ -66,7 +66,7 @@ func run(args []string, stdout io.Writer) error {
 		counts  = fs.Bool("counts", true, "print event counts by kind")
 		since   = fs.Duration("since", 0, "analyze only events at or after this virtual time (binary traces skip whole chunks before decoding)")
 		until   = fs.Duration("until", 0, "analyze only events at or before this virtual time (0 = end of trace)")
-		runtime = fs.Bool("runtime", false, "treat the argument as a pmsbsim -runtimestats dump and explain the run (shard imbalance, steal efficacy, null-advance overhead, queue churn)")
+		runtime = fs.Bool("runtime", false, "treat the argument as a pmsbsim -runtimestats dump and explain the run (shard imbalance, window widths, worker utilization, queue churn)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: pmsbstat [flags] trace[.jsonl|.bin] [more traces...]")

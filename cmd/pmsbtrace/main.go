@@ -121,7 +121,7 @@ func run(args []string, stdout io.Writer) error {
 	completed := 0
 	for i, spec := range flows {
 		i, spec := i, spec
-		if spec.Src >= ls.NumHosts() || spec.Dst >= ls.NumHosts() {
+		if spec.Src < 0 || spec.Dst < 0 || spec.Src >= ls.NumHosts() || spec.Dst >= ls.NumHosts() {
 			return fmt.Errorf("flow %d: host index out of range for the 48-host fabric", i)
 		}
 		records[i].spec = spec

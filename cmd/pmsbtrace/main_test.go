@@ -84,4 +84,12 @@ func TestReplayErrors(t *testing.T) {
 	if err := run([]string{"-trace", trace}, &buf); err == nil {
 		t.Fatal("out-of-range host must error")
 	}
+	// A negative host or a start outside time.Duration is an error, not
+	// a panic or a silent replay at t=0.
+	for _, row := range []string{"0,-1,3,1000,0", "NaN,0,1,1000,0", "1e300,0,1,1000,0"} {
+		os.WriteFile(trace, []byte("start_us,src,dst,size_bytes,service\n"+row+"\n"), 0o644)
+		if err := run([]string{"-trace", trace}, &buf); err == nil {
+			t.Fatalf("row %q must error", row)
+		}
+	}
 }

@@ -165,25 +165,10 @@ func assertIdenticalRuns(t *testing.T, name string, heap, cal workloadResult) {
 // shard); the serial baseline uses the same two-bus split so the traces
 // are comparable line by line.
 
-// parVariant names one coordinator protocol configuration. Every
-// variant must produce byte-identical results; the sweep below is the
-// proof.
-type parVariant struct {
-	name  string
-	mode  sim.ParMode
-	steal bool
-}
-
-var parVariants = []parVariant{
-	{"global", sim.ParGlobal, false},
-	{"channel", sim.ParChannel, false},
-	{"channel-steal", sim.ParChannel, true},
-}
-
 // runShardedDumbbell runs the dumbbell differential workload. shards ==
 // 0 is the serial reference (plain engine, serial builder); shards >= 1
-// builds through the coordinator with the variant's protocol.
-func runShardedDumbbell(t *testing.T, shards int, v parVariant) workloadResult {
+// builds through the coordinator.
+func runShardedDumbbell(t *testing.T, shards int) workloadResult {
 	t.Helper()
 	switchBus := obs.NewBus(1 << 16)
 	hostBus := obs.NewBus(1 << 16)
@@ -205,8 +190,6 @@ func runShardedDumbbell(t *testing.T, shards int, v parVariant) workloadResult {
 		d = topo.NewDumbbell(eng, cfg)
 	} else {
 		coord = sim.NewCoordinator()
-		coord.SetMode(v.mode)
-		coord.SetWorkStealing(v.steal)
 		d, _ = topo.NewDumbbellSharded(coord, cfg, shards)
 	}
 	d.Switch.Observe(switchBus)
@@ -239,7 +222,7 @@ func runShardedDumbbell(t *testing.T, shards int, v parVariant) workloadResult {
 
 // runShardedLeafSpine runs the leaf-spine differential workload (same
 // convention: shards == 0 is the serial reference).
-func runShardedLeafSpine(t *testing.T, shards int, v parVariant) workloadResult {
+func runShardedLeafSpine(t *testing.T, shards int) workloadResult {
 	t.Helper()
 	switchBus := obs.NewBus(1 << 16)
 	hostBus := obs.NewBus(1 << 16)
@@ -267,8 +250,6 @@ func runShardedLeafSpine(t *testing.T, shards int, v parVariant) workloadResult 
 		ls = topo.NewLeafSpine(eng, cfg)
 	} else {
 		coord = sim.NewCoordinator()
-		coord.SetMode(v.mode)
-		coord.SetWorkStealing(v.steal)
 		ls, _ = topo.NewLeafSpineSharded(coord, cfg, shards)
 	}
 	ls.Leaves[0].Observe(switchBus)
@@ -335,44 +316,35 @@ func multiBusTrace(t *testing.T, buses []*obs.Bus) []byte {
 }
 
 // A dumbbell split hosts-vs-switch must be byte-identical to the serial
-// run under every windowing protocol: same switch trace, same transport
-// trace, same FCTs, same total event count. The 1-shard build is the
-// degenerate check that the sharded wiring itself changes nothing.
+// run: same switch trace, same transport trace, same FCTs, same total
+// event count. The 1-shard build is the degenerate check that the
+// sharded wiring itself changes nothing.
 func TestDifferentialShardedDumbbell(t *testing.T) {
-	serial := runShardedDumbbell(t, 0, parVariant{})
+	serial := runShardedDumbbell(t, 0)
 	if len(serial.trace) == 0 {
 		t.Fatal("empty trace: the workload recorded nothing")
 	}
-	assertIdenticalRuns(t, "dumbbell serial-vs-1shard", serial,
-		runShardedDumbbell(t, 1, parVariants[0]))
-	for _, v := range parVariants {
-		assertIdenticalRuns(t, "dumbbell serial-vs-2shard/"+v.name, serial,
-			runShardedDumbbell(t, 2, v))
-	}
+	assertIdenticalRuns(t, "dumbbell serial-vs-1shard", serial, runShardedDumbbell(t, 1))
+	assertIdenticalRuns(t, "dumbbell serial-vs-2shard", serial, runShardedDumbbell(t, 2))
 }
 
 // Same gate for the leaf-spine fabric split hosts-vs-fabric. Run under
 // -race in CI, this doubles as the shard coordinator's race check on a
 // real workload.
 func TestDifferentialShardedLeafSpine(t *testing.T) {
-	serial := runShardedLeafSpine(t, 0, parVariant{})
+	serial := runShardedLeafSpine(t, 0)
 	if len(serial.trace) == 0 {
 		t.Fatal("empty trace: the workload recorded nothing")
 	}
-	assertIdenticalRuns(t, "leafspine serial-vs-1shard", serial,
-		runShardedLeafSpine(t, 1, parVariants[0]))
-	for _, v := range parVariants {
-		assertIdenticalRuns(t, "leafspine serial-vs-2shard/"+v.name, serial,
-			runShardedLeafSpine(t, 2, v))
-	}
+	assertIdenticalRuns(t, "leafspine serial-vs-1shard", serial, runShardedLeafSpine(t, 1))
+	assertIdenticalRuns(t, "leafspine serial-vs-2shard", serial, runShardedLeafSpine(t, 2))
 }
 
 // Sharded runs must also be self-deterministic: two identical 2-shard
 // runs may not diverge no matter how goroutines are scheduled.
 func TestDifferentialShardedDeterminism(t *testing.T) {
-	v := parVariants[2] // channel-steal: the most schedule-sensitive path
-	a := runShardedLeafSpine(t, 2, v)
-	b := runShardedLeafSpine(t, 2, v)
+	a := runShardedLeafSpine(t, 2)
+	b := runShardedLeafSpine(t, 2)
 	assertIdenticalRuns(t, "leafspine 2shard-vs-2shard", a, b)
 }
 
@@ -384,14 +356,13 @@ func TestDifferentialShardedDeterminism(t *testing.T) {
 // count. Core switches are not observed — their shard assignment moves
 // with the shard count. flows returns the flow set so workloads can
 // vary; each spec is (src host, dst host, size).
-func runShardedFatTree(t *testing.T, shards int, v parVariant,
-	specs [][3]int, until time.Duration) workloadResult {
+func runShardedFatTree(t *testing.T, shards int, specs [][3]int, until time.Duration) workloadResult {
 	t.Helper()
 	podBus := make([]*obs.Bus, 8)
 	for p := range podBus {
 		podBus[p] = obs.NewBus(1 << 14)
 	}
-	res := driveShardedFatTree(t, shards, v, specs, until, podBus)
+	res := driveShardedFatTree(t, shards, specs, until, podBus)
 	res.trace = multiBusTrace(t, podBus)
 	return res
 }
@@ -402,7 +373,7 @@ func runShardedFatTree(t *testing.T, shards int, v parVariant,
 // Optional setup hooks run after construction, before RunUntil — the
 // runtime-introspection differential uses them to attach monitors and
 // enable stats (exactly one of coord/eng is non-nil).
-func driveShardedFatTree(t *testing.T, shards int, v parVariant,
+func driveShardedFatTree(t *testing.T, shards int,
 	specs [][3]int, until time.Duration, podBus []*obs.Bus,
 	setup ...func(coord *sim.Coordinator, eng *sim.Engine)) workloadResult {
 	t.Helper()
@@ -432,8 +403,6 @@ func driveShardedFatTree(t *testing.T, shards int, v parVariant,
 		ft = topo.NewFatTree(eng, cfg)
 	} else {
 		coord = sim.NewCoordinator()
-		coord.SetMode(v.mode)
-		coord.SetWorkStealing(v.steal)
 		ft, _ = topo.NewFatTreeSharded(coord, cfg, shards)
 	}
 
@@ -491,30 +460,24 @@ func fatTreeCrossPodSpecs() [][3]int {
 	return specs
 }
 
-// The k=8 fat-tree differential gate: serial vs the per-channel-clock
-// coordinator at 4 and 8 shards, and vs the global-window reference, on
-// cross-pod traffic. This is the topology where channel clocks actually
-// diverge from the global protocol (distinct shard pairs, multi-hop
-// shard graph), so byte-identity here is the tentpole's correctness
-// proof.
+// The k=8 fat-tree differential gate: serial vs the coordinator at 4
+// and 8 shards on cross-pod traffic. The fat-tree is the topology with
+// many shard pairs and multi-hop cross-shard paths, so byte-identity
+// here is the coordinator's correctness proof.
 func TestDifferentialShardedFatTree(t *testing.T) {
 	specs := fatTreeCrossPodSpecs()
 	const until = 50 * time.Millisecond
-	serial := runShardedFatTree(t, 0, parVariant{}, specs, until)
+	serial := runShardedFatTree(t, 0, specs, until)
 	if len(serial.trace) == 0 {
 		t.Fatal("empty trace: the workload recorded nothing")
 	}
-	assertIdenticalRuns(t, "fattree serial-vs-global@4", serial,
-		runShardedFatTree(t, 4, parVariants[0], specs, until))
-	assertIdenticalRuns(t, "fattree serial-vs-channel@4", serial,
-		runShardedFatTree(t, 4, parVariants[1], specs, until))
-	assertIdenticalRuns(t, "fattree serial-vs-channel@8", serial,
-		runShardedFatTree(t, 8, parVariants[1], specs, until))
+	assertIdenticalRuns(t, "fattree serial-vs-4shard", serial, runShardedFatTree(t, 4, specs, until))
+	assertIdenticalRuns(t, "fattree serial-vs-8shard", serial, runShardedFatTree(t, 8, specs, until))
 }
 
 // Skewed-load gate: an incast concentrated in pod 0 leaves seven of
-// eight shards idle most of the time — exactly the shape work-stealing
-// is for. Stolen windows must still produce byte-identical results.
+// eight shards idle most of the time, so most windows grant only a
+// few shards. The run must still be byte-identical to serial.
 func TestDifferentialShardedFatTreeIncast(t *testing.T) {
 	const hostsPerPod = 16
 	var specs [][3]int
@@ -524,14 +487,11 @@ func TestDifferentialShardedFatTreeIncast(t *testing.T) {
 		}
 	}
 	const until = 50 * time.Millisecond
-	serial := runShardedFatTree(t, 0, parVariant{}, specs, until)
+	serial := runShardedFatTree(t, 0, specs, until)
 	if len(serial.trace) == 0 {
 		t.Fatal("empty trace: the workload recorded nothing")
 	}
-	assertIdenticalRuns(t, "incast serial-vs-steal@8", serial,
-		runShardedFatTree(t, 8, parVariants[2], specs, until))
-	assertIdenticalRuns(t, "incast serial-vs-channel@8", serial,
-		runShardedFatTree(t, 8, parVariants[1], specs, until))
+	assertIdenticalRuns(t, "incast serial-vs-8shard", serial, runShardedFatTree(t, 8, specs, until))
 }
 
 // Spill-merge gate: a sharded fat-tree run whose per-pod buses spill
@@ -550,7 +510,7 @@ func TestDifferentialShardedSpillMerge(t *testing.T) {
 	for p := range ref {
 		ref[p] = obs.NewBus(1 << 18)
 	}
-	driveShardedFatTree(t, 0, parVariant{}, specs, until, ref)
+	driveShardedFatTree(t, 0, specs, until, ref)
 	refStreams := make([][]obs.Event, pods)
 	for p, bus := range ref {
 		if d := bus.Ring().Dropped(); d != 0 {
@@ -566,10 +526,9 @@ func TestDifferentialShardedSpillMerge(t *testing.T) {
 	for _, run := range []struct {
 		name   string
 		shards int
-		v      parVariant
 	}{
-		{"channel@4", 4, parVariants[1]},
-		{"channel-steal@8", 8, parVariants[2]},
+		{"4shard", 4},
+		{"8shard", 8},
 	} {
 		// Spill-backed buses: 256-event rings force hundreds of flushes
 		// per pod, so chunk framing is exercised across many batch
@@ -583,7 +542,7 @@ func TestDifferentialShardedSpillMerge(t *testing.T) {
 			buses[p] = obs.NewTraceBus(256)
 			buses[p].Ring().SetSpill(spills[p])
 		}
-		driveShardedFatTree(t, run.shards, run.v, specs, until, buses)
+		driveShardedFatTree(t, run.shards, specs, until, buses)
 		streams := make([][]obs.Event, pods)
 		for p := range buses {
 			if err := buses[p].Ring().FlushSpill(); err != nil {
@@ -687,7 +646,7 @@ func TestDifferentialLeafSpineWorkload(t *testing.T) {
 // build dominates and a short horizon already fingerprints the event
 // order across serial and sharded runs (observability: edge+agg of the
 // first and last pod, both pod-local on every partition).
-func runFatTree32(t *testing.T, shards int, v parVariant) workloadResult {
+func runFatTree32(t *testing.T, shards int) workloadResult {
 	t.Helper()
 	const k, pods = 32, 32
 	hostsPerPod := (k / 2) * (k / 2) // 256
@@ -712,8 +671,6 @@ func runFatTree32(t *testing.T, shards int, v parVariant) workloadResult {
 		ft = topo.NewFatTree(eng, cfg)
 	} else {
 		coord = sim.NewCoordinator()
-		coord.SetMode(v.mode)
-		coord.SetWorkStealing(v.steal)
 		ft, _ = topo.NewFatTreeSharded(coord, cfg, shards)
 	}
 	if n := ft.ArenaOverflow(); n != 0 {
@@ -760,19 +717,16 @@ func runFatTree32(t *testing.T, shards int, v parVariant) workloadResult {
 
 // The k=32 short-horizon gate: the arena-built fabric must be
 // byte-identical serial vs 8-way pod-sharded (the batched slab handoff
-// path), and self-deterministic across two identical work-stealing
-// runs.
+// path), and self-deterministic across two identical sharded runs.
 func TestDifferentialFatTree32ShortHorizon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("k=32 fabric build is too heavy for -short")
 	}
-	serial := runFatTree32(t, 0, parVariant{})
+	serial := runFatTree32(t, 0)
 	if len(serial.trace) == 0 {
 		t.Fatal("empty trace: the workload recorded nothing")
 	}
-	assertIdenticalRuns(t, "fattree32 serial-vs-channel@8", serial,
-		runFatTree32(t, 8, parVariants[1]))
-	a := runFatTree32(t, 8, parVariants[2])
-	assertIdenticalRuns(t, "fattree32 steal-vs-steal@8", a,
-		runFatTree32(t, 8, parVariants[2]))
+	a := runFatTree32(t, 8)
+	assertIdenticalRuns(t, "fattree32 serial-vs-8shard", serial, a)
+	assertIdenticalRuns(t, "fattree32 8shard-vs-8shard", a, runFatTree32(t, 8))
 }

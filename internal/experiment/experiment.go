@@ -36,14 +36,6 @@ type Options struct {
 	// Shards workers, so RunMany charges it that many tokens — jobs x
 	// shards never oversubscribes the machine.
 	Shards int
-	// Par picks the parallel windowing protocol for sharded runs
-	// (sim.ParChannel by default; sim.ParGlobal is the A/B escape
-	// hatch). Both produce byte-identical results. Ignored when
-	// Shards <= 1.
-	Par sim.ParMode
-	// Steal enables work-stealing between shard workers under
-	// ParChannel. Ignored otherwise.
-	Steal bool
 	// Engine selects the simulation engine for experiments that support
 	// both: "packet" (default, ground truth) or "flow" (the flow-level
 	// fluid fast path in internal/flowsim). Experiments without a

@@ -107,13 +107,10 @@ func fctCacheKey(schedName string, opt Options) string {
 	// Shard count is part of the key: results are deterministic at any
 	// fixed shard count, but a shard boundary can reorder same-instant
 	// independent events, so different counts are distinct cells. The
-	// windowing protocol is also keyed — not because results differ
-	// (they are byte-identical across protocols), but so a -par A/B in
-	// one process really re-simulates instead of hitting the cache. The
 	// engine is keyed because the fluid preview and the packet ground
 	// truth are different simulations entirely.
-	return fmt.Sprintf("%s/engine=%s/quick=%v/seed=%d/rep=%d/shards=%d/par=%v/steal=%v",
-		schedName, opt.engine(), opt.Quick, opt.seed(), opt.repeats(), opt.shards(), opt.Par, opt.Steal)
+	return fmt.Sprintf("%s/engine=%s/quick=%v/seed=%d/rep=%d/shards=%d",
+		schedName, opt.engine(), opt.Quick, opt.seed(), opt.repeats(), opt.shards())
 }
 
 // runFCTOnce simulates one (scheduler, scheme, load) cell and returns
@@ -147,8 +144,6 @@ func runFCTOnce(schedName string, sc fctScheme, load float64, numFlows int, seed
 	)
 	if shards > 1 {
 		coord = sim.NewCoordinator()
-		coord.SetMode(opt.Par)
-		coord.SetWorkStealing(opt.Steal)
 		switch schedName {
 		case "dwrr":
 			lsCfg.Ports.NewSchedWith = topo.DWRRSched

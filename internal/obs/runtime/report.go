@@ -9,20 +9,15 @@ import (
 )
 
 // Report renders a human explanation of a runtime dump: the per-shard
-// table, then the derived diagnoses — shard imbalance, steal efficacy,
-// null-advance overhead, worker utilization, queue churn, pool
-// pressure. vals is a ParseDump result (from a -runtimestats file).
+// table, then the derived diagnoses — shard imbalance, window widths,
+// worker utilization, queue churn, pool pressure. vals is a ParseDump
+// result (from a -runtimestats file).
 func Report(w io.Writer, vals map[string]int64) error {
 	bw := &strings.Builder{}
 
-	mode := indicator(vals, "runtime.coord.mode.")
-	shards := int(vals["runtime.coord.shards"])
-	if mode != "" {
-		steal := "off"
-		if vals["runtime.coord.stealing"] != 0 {
-			steal = "on"
-		}
-		fmt.Fprintf(bw, "# coordinator: mode %s, %d shards, stealing %s\n", mode, shards, steal)
+	if shards, ok := vals["runtime.coord.shards"]; ok {
+		shards := int(shards)
+		fmt.Fprintf(bw, "# coordinator: %d shards\n", shards)
 		wall := dur(vals["runtime.coord.wall_ns"])
 		blocked := dur(vals["runtime.coord.blocked_ns"])
 		fmt.Fprintf(bw, "wall %v", wall.Round(time.Microsecond))
@@ -33,8 +28,7 @@ func Report(w io.Writer, vals map[string]int64) error {
 		fmt.Fprintln(bw)
 		shardTable(bw, vals, shards)
 		imbalance(bw, vals, shards)
-		stealEfficacy(bw, vals, shards)
-		nullOverhead(bw, vals, shards)
+		windows(bw, vals, shards)
 		workerUtilization(bw, vals, shards)
 	} else {
 		fmt.Fprintf(bw, "# serial run (no coordinator stats)\n")
@@ -44,16 +38,6 @@ func Report(w io.Writer, vals map[string]int64) error {
 
 	_, err := io.WriteString(w, bw.String())
 	return err
-}
-
-// indicator finds the suffix of the single "<prefix><value>\t1" row.
-func indicator(vals map[string]int64, prefix string) string {
-	for n, v := range vals {
-		if v == 1 && strings.HasPrefix(n, prefix) {
-			return strings.TrimPrefix(n, prefix)
-		}
-	}
-	return ""
 }
 
 func shardKey(vals map[string]int64, i int, field string) int64 {
@@ -66,20 +50,17 @@ func workerKey(vals map[string]int64, i int, field string) int64 {
 
 func shardTable(w io.Writer, vals map[string]int64, shards int) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "shard\tgrants\tsteals\tnull-adv\toutbox\tparked\tevents\tbusy\tbusy-share")
+	fmt.Fprintln(tw, "shard\tgrants\toutbox\tevents\tbusy\tbusy-share")
 	var totalBusy int64
 	for i := 0; i < shards; i++ {
 		totalBusy += shardKey(vals, i, "busy_ns")
 	}
 	for i := 0; i < shards; i++ {
 		busy := shardKey(vals, i, "busy_ns")
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%v\t%.0f%%\n",
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%v\t%.0f%%\n",
 			i,
 			shardKey(vals, i, "grants"),
-			shardKey(vals, i, "steals"),
-			shardKey(vals, i, "null_advances"),
 			shardKey(vals, i, "outbox_sent"),
-			shardKey(vals, i, "parked"),
 			shardKey(vals, i, "events"),
 			dur(busy).Round(time.Microsecond),
 			pct(busy, totalBusy))
@@ -117,37 +98,22 @@ func maxOverMean(vals map[string]int64, shards int, field string) (float64, int)
 	return float64(max) / mean, maxAt
 }
 
-// stealEfficacy reports how much of the window execution the shared
-// grant queue actually moved off dedicated shards.
-func stealEfficacy(w io.Writer, vals map[string]int64, shards int) {
-	var grants, steals int64
-	for i := 0; i < shards; i++ {
-		grants += shardKey(vals, i, "grants")
-		steals += shardKey(vals, i, "steals")
-	}
-	if vals["runtime.coord.stealing"] == 0 {
+// windows reports the barrier rounds: how many shards each round kept
+// busy (the parallelism the lookahead allowed) and how wide the
+// granted windows were, from each shard's earliest event to the window
+// end.
+func windows(w io.Writer, vals map[string]int64, shards int) {
+	rounds := vals["runtime.coord.grant_calls"]
+	if rounds == 0 {
 		return
 	}
-	fmt.Fprintf(w, "steal efficacy: %d of %d windows (%.0f%%) ran on a foreign worker\n",
-		steals, grants, pct(steals, grants))
-}
-
-// nullOverhead reports the null-advance bookkeeping the protocol paid
-// per useful grant: Bellman-Ford rounds per grant call and lb
-// relaxations per granted window.
-func nullOverhead(w io.Writer, vals map[string]int64, shards int) {
-	calls := vals["runtime.coord.grant_calls"]
-	rounds := vals["runtime.coord.relax_rounds"]
-	var grants, nulls int64
+	var grants, width int64
 	for i := 0; i < shards; i++ {
 		grants += shardKey(vals, i, "grants")
-		nulls += shardKey(vals, i, "null_advances")
+		width += shardKey(vals, i, "grant_width_ns")
 	}
-	if calls == 0 {
-		return
-	}
-	fmt.Fprintf(w, "null-advance overhead: %.2f relax rounds/grant call, %.2f null advances/window (%d windows over %d calls)\n",
-		ratio(rounds, calls), ratio(nulls, grants), grants, calls)
+	fmt.Fprintf(w, "windows: %d rounds, %.2f of %d shards active per round, mean grant width %v\n",
+		rounds, ratio(grants, rounds), shards, dur(width/max(grants, 1)))
 }
 
 func workerUtilization(w io.Writer, vals map[string]int64, shards int) {

@@ -2,7 +2,7 @@
 // coordinator/engine/pool counters collected by internal/sim and
 // internal/pkt, assembled into a dump in the obs.Registry text format
 // ("name\tvalue", sorted) and into a human report explaining a run —
-// shard imbalance, steal efficacy, null-advance overhead, queue churn.
+// shard imbalance, window widths, worker utilization, queue churn.
 //
 // It is deliberately separate from the packet-level trace bus
 // (internal/obs): the bus records what the *simulated network* did,
@@ -107,8 +107,6 @@ func (c *Collector) ObserveCoordinator(coord *sim.Coordinator) {
 	// Same shape: counters and durations sum (RuntimeStats itself
 	// accumulates across RunUntil calls on one coordinator, so summing
 	// across *distinct* coordinators extends the same semantics).
-	c.coord.Mode, c.coord.Stealing = st.Mode, st.Stealing
-	c.coord.RelaxRounds += st.RelaxRounds
 	c.coord.GrantCalls += st.GrantCalls
 	c.coord.Wall += st.Wall
 	c.coord.CoordBlocked += st.CoordBlocked
@@ -116,10 +114,7 @@ func (c *Collector) ObserveCoordinator(coord *sim.Coordinator) {
 		a, b := &c.coord.PerShard[i], st.PerShard[i]
 		a.Grants += b.Grants
 		a.GrantWidth += b.GrantWidth
-		a.NullAdvances += b.NullAdvances
-		a.Steals += b.Steals
 		a.OutboxSent += b.OutboxSent
-		a.Parked += b.Parked
 		a.Events += b.Events
 		a.Busy += b.Busy
 	}
@@ -171,17 +166,14 @@ func (c *Collector) Snapshot() Snapshot {
 
 // Values flattens the snapshot into named integer metrics, the unit the
 // dump and the report both consume. Durations are nanoseconds under
-// "_ns" names; enum-like values (mode, queue kind) become
+// "_ns" names; enum-like values (the queue kind) become
 // "<name>.<value>\t1" indicator rows, keeping every value numeric.
 func (s Snapshot) Values() map[string]int64 {
 	v := map[string]int64{
 		"runtime.runs": int64(s.Runs),
 	}
 	if c := s.Coord; c != nil {
-		v["runtime.coord.mode."+c.Mode] = 1
-		v["runtime.coord.stealing"] = b2i(c.Stealing)
 		v["runtime.coord.shards"] = int64(len(c.PerShard))
-		v["runtime.coord.relax_rounds"] = int64(c.RelaxRounds)
 		v["runtime.coord.grant_calls"] = int64(c.GrantCalls)
 		v["runtime.coord.wall_ns"] = int64(c.Wall)
 		v["runtime.coord.blocked_ns"] = int64(c.CoordBlocked)
@@ -189,10 +181,7 @@ func (s Snapshot) Values() map[string]int64 {
 			p := fmt.Sprintf("runtime.shard.%d.", i)
 			v[p+"grants"] = int64(sh.Grants)
 			v[p+"grant_width_ns"] = int64(sh.GrantWidth)
-			v[p+"null_advances"] = int64(sh.NullAdvances)
-			v[p+"steals"] = int64(sh.Steals)
 			v[p+"outbox_sent"] = int64(sh.OutboxSent)
-			v[p+"parked"] = int64(sh.Parked)
 			v[p+"events"] = int64(sh.Events)
 			v[p+"busy_ns"] = int64(sh.Busy)
 		}
@@ -227,13 +216,6 @@ func (s Snapshot) Values() map[string]int64 {
 	v["runtime.pool.inuse"] = s.Pool.InUse
 	v["runtime.pool.inuse_hiwater"] = s.Pool.HiWater
 	return v
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // WriteTo dumps the snapshot as sorted "name\tvalue" lines — the

@@ -148,7 +148,7 @@ func TestReportSections(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"coordinator", "imbalance", "null-advance", "workers", "queue churn",
+		"coordinator", "imbalance", "rounds", "workers", "queue churn",
 		"scan/insert",
 	} {
 		if !strings.Contains(out, want) {

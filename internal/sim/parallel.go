@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 )
@@ -11,167 +10,66 @@ import (
 // (one per topology shard) run concurrently inside conservative
 // windows and exchange boundary events between windows.
 //
-// Two protocols implement the windowing (ParMode):
+// The protocol is bounded-lag windowing with a full barrier. The
+// lookahead L is the minimum delay over every registered boundary. Each
+// round takes T, the earliest pending event across all shards, runs
+// every shard with work before T+L through the half-open window
+// [T, T+L) concurrently, waits for all of them (the barrier), and then
+// drains every outbox into its destination engine before the next
+// round.
 //
-// ParChannel (default) keeps one clock per directed shard pair — the
-// CMB/null-message discipline, computed centrally. Every registered
-// boundary folds into a channel src->dst whose delay is the minimum
-// over that pair's cut links. Each shard publishes a lower bound lb on
-// the time of any send it may still perform; a shard's window grant is
-// then the minimum of lb(src)+delay(src->dst) over *its own* incoming
-// channels, not the global minimum cut delay. Idle shards publish null
-// advances: lb relaxes through them (lb = min(next local event,
-// min over incoming channels of lb(src)+delay)), exactly the
-// shortest-path closure min over shards t of nextAt(t)+dist(t->s) — so
-// a quiet region of the fabric never gates a busy one, and distant
-// shards never wait on the topology's tightest link. There is no full
-// barrier: the coordinator grants each shard as soon as its own
-// channels allow and collects completions one at a time.
+// Safety. A shard executing events strictly before the window end W
+// must already hold every cross-shard arrival with timestamp < W. A
+// send performed inside the window is performed by an event at u >= T,
+// so it arrives at u+delay >= T+L = W: no arrival produced during a
+// window can land inside it, and every arrival produced by earlier
+// windows was injected at their barriers. Windows are half-open so an
+// arrival exactly at a window end is injected before the events it
+// could tie with are run.
 //
-// ParGlobal is the original bounded-lag reference: lookahead L = the
-// minimum delay over every cut link, one global window [T, T+L) with
-// T the earliest pending event across all shards, and a full barrier
-// draining every outbox before the next window. It is kept as the A/B
-// escape hatch (-par=global) and as the simplest statement of the
-// safety argument both protocols share.
+// Deadlock freedom. Boundary delays are strictly positive, so every
+// window [T, T+L) is non-empty and holds at least the event at T: each
+// round executes something, and the rounds end when nothing is pending
+// at or before the deadline.
 //
-// Safety invariant (both modes). A shard executing events strictly
-// before its window end W must already hold every cross-shard arrival
-// with timestamp < W. In ParGlobal that is the classical lookahead
-// argument: a send by an event at u >= T arrives at u+delay >= T+L = W.
-// In ParChannel: a send from shard j is performed by an event j
-// executes, and j never executes anything before its published lb(j) —
-// frozen at its window start while a window is in flight, relaxed
-// through the channel graph while idle — so the arrival lands at
-// >= lb(j)+delay(j->dst) >= grant(dst) = W. Arrivals produced *during*
-// a destination's own window are parked (pendingSlabs) and injected
-// when that window completes; they are all at or beyond the
-// destination's grant, hence beyond everything that window executed. Windows are
-// half-open so an arrival exactly at a window end is injected before
-// the events it could tie with are run.
+// Determinism and serial equivalence. An engine executes its queue in
+// the strict total key order (at, schedAt, lane, seq), and the safety
+// invariant guarantees every injection is queued before execution
+// passes its key. Window bounds only partition that fixed per-shard
+// sequence, so the executed sequence — and every trace, FCT and
+// processed-event count derived from it — is invariant across goroutine
+// schedules. The serial engine orders same-time events by seq, which is
+// assigned in scheduling order; because the clock never runs
+// backwards, that is equivalent to ordering by (schedAt, seq). A
+// cross-shard injection carries its true schedAt (the sending engine's
+// clock at send time) and the sender's monotone cross-send seq, so it
+// sorts against the destination's local events exactly where the
+// serial engine would have placed it — except when a local and a
+// remote event (or two remote events from different shards) carry the
+// *same* (at, schedAt): two causally independent schedules at the same
+// instant whose serial order depended on global seq interleaving no
+// shard can reconstruct. The key then falls back to lane order (locals
+// first, then by sending shard). differential_test.go proves
+// byte-identity against the serial engine on the dumbbell, leaf-spine
+// and fat-tree workloads. See DESIGN.md section 8.
 //
-// Deadlock freedom. Delays are strictly positive, so the shard owning
-// the globally earliest pending event m always receives a grant
-// > m (every incoming channel contributes >= m + delay > m): some
-// shard is always dispatchable while work remains.
-//
-// Determinism and serial equivalence. Under ParChannel the window
-// bounds themselves depend on completion order (the coordinator grants
-// as completions arrive), but the *result* does not: an engine executes
-// its queue in the strict total key order (at, schedAt, lane, seq), and
-// the safety invariant guarantees every injection is queued before
-// execution passes its key. Window bounds only partition that fixed
-// per-shard sequence, so the executed sequence — and every trace, FCT
-// and processed-event count derived from it — is invariant across
-// goroutine schedules, across work-stealing, and across ParGlobal vs
-// ParChannel at the same shard count. The serial-equivalence argument
-// for the key itself is unchanged from the barrier protocol: the serial
-// engine orders same-time events by seq, which is assigned in
-// scheduling order; because the clock never runs backwards, that is
-// equivalent to ordering by (schedAt, seq). A cross-shard injection
-// carries its true schedAt (the sending engine's clock at send time)
-// and the sender's monotone cross-send seq, so it sorts against the
-// destination's local events exactly where the serial engine would have
-// placed it — except when a local and a remote event (or two remote
-// events from different shards) carry the *same* (at, schedAt): two
-// causally independent schedules at the same instant whose serial order
-// depended on global seq interleaving no shard can reconstruct. The key
-// then falls back to lane order (locals first, then by sending shard).
-// differential_test.go proves byte-identity on the dumbbell, leaf-spine
-// and fat-tree workloads, for both modes. See DESIGN.md section 8.
-//
-// Threading. A window is executed by exactly one worker goroutine;
-// engines are only ever touched by that worker (inside the window) or
-// by the coordinator (between the shard's windows), with channel sends
-// establishing the happens-before edges between the two. By default
-// each shard owns a dedicated worker; with work-stealing enabled
-// (SetWorkStealing) grants go to a shared queue and any idle worker
-// runs them, so a skewed load (one hot shard, many idle ones) never
-// strands runnable windows behind a busy goroutine. Nothing in the
-// engine grows locks.
-
-// ParMode selects the coordinator's window protocol.
-type ParMode int
-
-const (
-	// ParChannel is the default: per-channel clocks with null advances
-	// and no full barrier (see the package comment above).
-	ParChannel ParMode = iota
-	// ParGlobal is the single-lookahead bounded-lag reference protocol:
-	// one global window gated by the minimum cut delay, with a full
-	// barrier every window. Byte-identical results to ParChannel at the
-	// same shard count; kept as the A/B escape hatch.
-	ParGlobal
-)
-
-// String names the mode the way the -par CLI flag spells it.
-func (m ParMode) String() string {
-	switch m {
-	case ParChannel:
-		return "channel"
-	case ParGlobal:
-		return "global"
-	}
-	return fmt.Sprintf("ParMode(%d)", int(m))
-}
-
-// ParseParMode maps a -par flag value onto a protocol selection.
-// Accepted: "channel" (per-channel clocks), "channel-steal" (the same
-// plus work-stealing workers), "global" (barrier reference).
-func ParseParMode(s string) (mode ParMode, workStealing bool, err error) {
-	switch s {
-	case "channel":
-		return ParChannel, false, nil
-	case "channel-steal":
-		return ParChannel, true, nil
-	case "global":
-		return ParGlobal, false, nil
-	}
-	return 0, false, fmt.Errorf("sim: unknown parallel mode %q (want channel, channel-steal or global)", s)
-}
-
-// timeInf is the channel clocks' "no bound" sentinel. Saturating
-// arithmetic (satAdd) keeps delay sums from wrapping past it.
-const timeInf = time.Duration(math.MaxInt64)
-
-func satAdd(a, b time.Duration) time.Duration {
-	if a >= timeInf-b {
-		return timeInf
-	}
-	return a + b
-}
+// Threading. Each shard owns one worker goroutine, which executes that
+// shard's windows and nothing else; engines are only ever touched by
+// their worker (inside a window) or by the coordinator (at the
+// barrier), with channel sends establishing the happens-before edges
+// between the two. Nothing in the engine grows locks.
 
 // Coordinator synchronizes a set of shard engines. Create one with
 // NewCoordinator, add shards with NewShard, declare every cross-shard
 // link with Boundary, then drive the whole simulation with RunUntil.
-// The configuration — shards, boundaries, mode, work-stealing — is
-// frozen by the first RunUntil call; registering a boundary (or
-// switching modes) afterwards panics, because a late registration
-// would silently invalidate the channel clocks and lookahead already
-// used to admit executed windows.
+// The configuration — shards, boundaries, instrumentation — is frozen
+// by the first RunUntil call; registering a boundary afterwards panics,
+// because a late registration would silently invalidate the lookahead
+// already used to admit executed windows.
 type Coordinator struct {
 	shards    []*Shard
 	lookahead time.Duration // min registered boundary delay; 0 = none yet
-	mode      ParMode
-	stealing  bool
 	started   bool
-
-	// chanDelay folds every registered boundary into the per-(src,dst)
-	// minimum delay: the channel graph the per-channel clocks run on.
-	chanDelay map[[2]int]time.Duration
-	// in is the flattened channel graph, per destination shard, built
-	// once at the first channel-mode RunUntil.
-	in [][]inChan
-
-	// doneCh receives window completions (unbuffered: the handoff is
-	// the happens-before edge back to the coordinator). stealCh is the
-	// shared grant queue when work-stealing is on. Both are created
-	// fresh per RunUntil and handed to workers by value, never read
-	// back through these fields from a worker: a worker left over from
-	// a previous run (still parked on its closed grant channel) must
-	// not race with the next run re-making them.
-	doneCh  chan *Shard
-	stealCh chan *Shard
 
 	// rt collects runtime self-observation when EnableRuntimeStats was
 	// called; mon is the live progress surface when SetMonitor was.
@@ -182,18 +80,11 @@ type Coordinator struct {
 
 	// slabPool recycles drained event slabs across all shards. Slabs
 	// migrate with the traffic matrix (a slab filled by one shard is
-	// often drained while another's worker holds the sender busy), so
-	// per-shard free lists starve senders into fresh allocations every
-	// window; a shared pool keeps the steady-state slab population —
-	// and their grown ev backing arrays — in circulation instead.
+	// drained into another), so per-shard free lists starve senders into
+	// fresh allocations every window; a shared pool keeps the
+	// steady-state slab population — and their grown ev backing arrays
+	// — in circulation instead.
 	slabPool sync.Pool
-}
-
-// inChan is one incoming channel of a shard: the sending shard and the
-// minimum delay over the boundaries folded into the channel.
-type inChan struct {
-	src   int
-	delay time.Duration
 }
 
 // Shard is one engine plus its cross-shard plumbing.
@@ -207,11 +98,11 @@ type Shard struct {
 	// (nil until the first send), outDst lists the destinations touched
 	// in first-send order so the drain walks only live slabs. Only the
 	// worker running the window appends; only the coordinator drains
-	// (after receiving the completion) — the same grant/done channel
-	// handoff that transfers engine ownership transfers slab ownership.
-	// Drained slabs recycle through the coordinator's slabPool
-	// (pooled-packet discipline: a slab is owned by exactly one side at
-	// a time; the pool only ever holds cleared, unowned slabs).
+	// (at the barrier) — the same grant/done channel handoff that
+	// transfers engine ownership transfers slab ownership. Drained slabs
+	// recycle through the coordinator's slabPool (pooled-packet
+	// discipline: a slab is owned by exactly one side at a time; the
+	// pool only ever holds cleared, unowned slabs).
 	outboxTo []*eventSlab
 	outDst   []int
 	sendSeq  uint64
@@ -222,23 +113,9 @@ type Shard struct {
 	nextAt  time.Duration
 	hasNext bool
 
-	// Channel-clock state, owned by the coordinator goroutine.
-	// lb is the published lower bound on the time of any send this
-	// shard may still perform: frozen at the window start while a
-	// window is in flight, relaxed through the channel graph while
-	// idle. pendingSlabs parks whole arrival slabs delivered while a
-	// window runs (a pointer swap, not a per-event copy); they are
-	// injected when it completes (every event in them is at or beyond
-	// the shard's own grant, so nothing executed could have needed
-	// them). A parked slab is recycled through the shared slab pool once
-	// drained — never into per-shard state that its original owner
-	// might be touching.
-	running      bool
-	lb           time.Duration
-	grantEnd     time.Duration
-	pendingSlabs []*eventSlab
-
-	grantCh chan struct{}
+	// grantEnd is the exclusive end of the window the shard's worker
+	// runs next; written by the coordinator before the grant send.
+	grantEnd time.Duration
 
 	// mon is this shard's progress slot when a Monitor is attached (nil
 	// otherwise); the worker executing a window publishes into it at the
@@ -258,11 +135,11 @@ type remoteEvent struct {
 }
 
 // eventSlab is one window's batch of deliveries from one source shard
-// to one destination. The coordinator moves slabs by pointer — park,
-// inject, recycle — so cross-shard traffic costs O(slabs), not
-// O(events), on the coordinator's critical path. minAt caches the
-// earliest arrival so absorbing a slab updates the destination's
-// cached next-event time with a single comparison.
+// to one destination. The coordinator moves slabs by pointer — inject,
+// recycle — so cross-shard traffic costs O(slabs), not O(events), of
+// coordinator bookkeeping. minAt caches the earliest arrival so
+// absorbing a slab updates the destination's cached next-event time
+// with a single comparison.
 type eventSlab struct {
 	ev    []remoteEvent
 	minAt time.Duration
@@ -301,11 +178,8 @@ func injectSlab(d *Shard, sl *eventSlab) {
 	}
 }
 
-// NewCoordinator returns an empty coordinator running the default
-// per-channel-clock protocol.
-func NewCoordinator() *Coordinator {
-	return &Coordinator{chanDelay: make(map[[2]int]time.Duration)}
-}
+// NewCoordinator returns an empty coordinator.
+func NewCoordinator() *Coordinator { return &Coordinator{} }
 
 // NewShard adds a shard with a fresh calendar-queue engine.
 func (c *Coordinator) NewShard() *Shard {
@@ -320,38 +194,9 @@ func (c *Coordinator) NewShard() *Shard {
 // Shards returns the shards in creation order.
 func (c *Coordinator) Shards() []*Shard { return c.shards }
 
-// Lookahead returns the global conservative window width — the minimum
-// delay among registered boundaries (0 before any registration). It is
-// the window ParGlobal runs; ParChannel grants per-shard windows that
-// are never narrower.
+// Lookahead returns the conservative window width — the minimum delay
+// among registered boundaries (0 before any registration).
 func (c *Coordinator) Lookahead() time.Duration { return c.lookahead }
-
-// Mode returns the coordinator's window protocol.
-func (c *Coordinator) Mode() ParMode { return c.mode }
-
-// SetMode selects the window protocol. Must be called before the first
-// RunUntil; the protocol is frozen once windows have run.
-func (c *Coordinator) SetMode(m ParMode) {
-	if c.started {
-		panic("sim: SetMode after RunUntil — the window protocol is frozen once the first window has run")
-	}
-	c.mode = m
-}
-
-// SetWorkStealing enables (or disables) work-stealing window execution
-// under ParChannel: granted windows go to a shared queue and any idle
-// worker runs them, instead of each shard owning a dedicated worker.
-// Results are byte-identical either way (a window is still executed by
-// exactly one goroutine, with the same bounds); stealing only changes
-// which goroutine that is, which matters when load is skewed across
-// shards. Ignored by ParGlobal. Must be called before the first
-// RunUntil.
-func (c *Coordinator) SetWorkStealing(on bool) {
-	if c.started {
-		panic("sim: SetWorkStealing after RunUntil — the worker discipline is frozen once the first window has run")
-	}
-	c.stealing = on
-}
 
 // Engine returns the shard's engine. Entities placed on this shard must
 // schedule exclusively against it.
@@ -362,19 +207,19 @@ func (s *Shard) ID() int { return s.id }
 
 // Boundary declares a directed cross-shard link with the given
 // propagation delay and returns the handle its sender uses to deliver
-// across the cut. The delay lower-bounds the coordinator's lookahead
-// and the src->dst channel clock, so it must be positive: a zero-delay
-// cut would make the conservative window empty.
+// across the cut. The delay lower-bounds the coordinator's lookahead,
+// so it must be positive: a zero-delay cut would make the conservative
+// window empty.
 //
 // Every boundary must be registered before the first RunUntil;
 // registering one afterwards panics. Admitting a late boundary would
 // be a silent correctness hazard: windows already executed were
-// admitted against channel clocks (and a lookahead) that did not
-// account for the new link, so a delivery crossing it could land
-// inside a window that already ran.
+// admitted against a lookahead that did not account for the new link,
+// so a delivery crossing it could land inside a window that already
+// ran.
 func (c *Coordinator) Boundary(from, to *Shard, delay time.Duration) *Boundary {
 	if c.started {
-		panic("sim: Boundary registered after RunUntil — cross-shard links are frozen once the first window has run (a late link would invalidate the channel clocks already used to admit executed windows)")
+		panic("sim: Boundary registered after RunUntil — cross-shard links are frozen once the first window has run (a late link would invalidate the lookahead already used to admit executed windows)")
 	}
 	if from == to {
 		panic("sim: boundary endpoints are the same shard (use a local link)")
@@ -387,10 +232,6 @@ func (c *Coordinator) Boundary(from, to *Shard, delay time.Duration) *Boundary {
 	}
 	if c.lookahead == 0 || delay < c.lookahead {
 		c.lookahead = delay
-	}
-	key := [2]int{from.id, to.id}
-	if d, ok := c.chanDelay[key]; !ok || delay < d {
-		c.chanDelay[key] = delay
 	}
 	return &Boundary{from: from, to: to, delay: delay}
 }
@@ -412,9 +253,9 @@ func (b *Boundary) SourceEngine() *Engine { return b.from.eng }
 // Send schedules fn(arg) on the destination shard one propagation delay
 // from now. It must be called from the sending shard's execution
 // context (i.e. from an event running on its engine); the delivery is
-// appended to the shard's per-destination slab and handed off whole
-// after the window completes, with the full deterministic key: arrival
-// time, sending clock, sending shard's lane and cross-send sequence.
+// appended to the shard's per-destination slab and handed off whole at
+// the window barrier, with the full deterministic key: arrival time,
+// sending clock, sending shard's lane and cross-send sequence.
 func (b *Boundary) Send(fn func(any), arg any) {
 	s := b.from
 	now := s.eng.now
@@ -444,12 +285,11 @@ func (b *Boundary) Send(fn func(any), arg any) {
 }
 
 // RunUntil executes events with timestamps <= deadline on every shard,
-// advancing them in conservative windows under the configured ParMode.
-// On return every shard's clock is at the deadline (matching
-// Engine.RunUntil's advance-on-drain contract). Engine.Stop is not
-// supported under a coordinator; a single-shard coordinator degenerates
-// to the serial RunUntil. The first call freezes the coordinator's
-// configuration (see Boundary).
+// advancing them in conservative windows. On return every shard's clock
+// is at the deadline (matching Engine.RunUntil's advance-on-drain
+// contract). Engine.Stop is not supported under a coordinator; a
+// single-shard coordinator degenerates to the serial RunUntil. The
+// first call freezes the coordinator's configuration (see Boundary).
 func (c *Coordinator) RunUntil(deadline time.Duration) {
 	c.started = true
 	if rt := c.rt; rt != nil {
@@ -483,11 +323,7 @@ func (c *Coordinator) RunUntil(deadline time.Duration) {
 			s.nextAt = ev.at
 		}
 	}
-	if c.mode == ParGlobal {
-		c.runGlobal(deadline)
-	} else {
-		c.runChannel(deadline)
-	}
+	c.runWindows(deadline)
 	for _, s := range c.shards {
 		s.eng.advanceTo(deadline)
 		if s.mon != nil {
@@ -527,21 +363,25 @@ func (c *Coordinator) runDegenerate(shards []*Shard, deadline time.Duration) {
 	}
 }
 
-// runGlobal is the bounded-lag reference protocol: one global window
-// per round, full barrier, outbox drain.
-func (c *Coordinator) runGlobal(deadline time.Duration) {
+// runWindows runs the bounded-lag protocol: one global window per
+// round, full barrier, outbox drain.
+func (c *Coordinator) runWindows(deadline time.Duration) {
 	// Workers live for the duration of this call: window grants and
 	// completion acks ride unbuffered channels whose send/receive pairs
 	// are the happens-before edges that hand each engine between its
-	// worker and the coordinator.
-	c.doneCh = make(chan *Shard)
+	// worker and the coordinator. The channels are made fresh per call
+	// and handed to workers by value, so a worker left over from a
+	// previous run (still draining its closed grant channel) never races
+	// with this one.
+	done := make(chan struct{})
+	grants := make([]chan struct{}, len(c.shards))
 	for i, s := range c.shards {
-		s.grantCh = make(chan struct{})
-		go c.work(i, s, s.grantCh, c.doneCh)
+		grants[i] = make(chan struct{})
+		go c.work(s, grants[i], done)
 	}
 	defer func() {
-		for _, s := range c.shards {
-			close(s.grantCh)
+		for _, g := range grants {
+			close(g)
 		}
 	}()
 
@@ -562,12 +402,12 @@ func (c *Coordinator) runGlobal(deadline time.Duration) {
 		// goroutine wakeups. Dispatch precedes any wait so active shards
 		// run concurrently. Only the count of grants is needed to run
 		// the barrier: each completion is acknowledged on the shared
-		// doneCh regardless of which shard finished first.
+		// done channel regardless of which shard finished first.
 		active := 0
 		if rt != nil {
 			rt.grantCalls++
 		}
-		for _, s := range c.shards {
+		for i, s := range c.shards {
 			if s.hasNext && s.nextAt < w {
 				s.grantEnd = w
 				if rt != nil {
@@ -575,280 +415,37 @@ func (c *Coordinator) runGlobal(deadline time.Duration) {
 					sc.grants++
 					sc.grantWidth += w - s.nextAt
 				}
-				s.grantCh <- struct{}{}
+				grants[i] <- struct{}{}
 				active++
 			}
 		}
 		if rt != nil {
 			t0 := time.Now()
 			for i := 0; i < active; i++ {
-				<-c.doneCh
+				<-done
 			}
 			rt.coordBlocked += time.Since(t0)
 		} else {
 			for i := 0; i < active; i++ {
-				<-c.doneCh
+				<-done
 			}
 		}
 		c.drainOutboxes()
 	}
 }
 
-// runChannel is the per-channel-clock protocol: per-shard grants, no
-// barrier, completions absorbed one at a time.
-func (c *Coordinator) runChannel(deadline time.Duration) {
-	c.buildChannels()
-	c.doneCh = make(chan *Shard)
-	if c.stealing {
-		// Work-stealing: grants ride one shared queue; any idle worker
-		// executes them. len(shards) workers means a grant can never
-		// wait behind busy goroutines: when a grant is issued its shard
-		// is not running, so at most len(shards)-1 windows are in
-		// flight and at least one worker is parked on stealCh.
-		c.stealCh = make(chan *Shard)
-		for i := range c.shards {
-			go c.stealWork(i, c.stealCh, c.doneCh)
-		}
-		defer close(c.stealCh)
-	} else {
-		for i, s := range c.shards {
-			s.grantCh = make(chan struct{})
-			go c.work(i, s, s.grantCh, c.doneCh)
-		}
-		defer func() {
-			for _, s := range c.shards {
-				close(s.grantCh)
-			}
-		}()
-	}
-
-	// limit is the exclusive execution bound: one nanosecond past the
-	// deadline, so events exactly at the deadline still run.
-	limit := deadline + 1
-	running := 0
-	for {
-		running += c.grantWindows(limit, deadline)
-		if running == 0 {
-			// No window in flight and nothing grantable: the run is
-			// complete unless the protocol stalled, which the positive
-			// channel delays make impossible (the earliest-event shard
-			// is always grantable) — so a leftover is a bug, and
-			// silently dropping its events would corrupt results.
-			for _, s := range c.shards {
-				if s.hasNext && s.nextAt <= deadline {
-					panic(fmt.Sprintf("sim: channel-clock coordinator stalled with shard %d pending at %v", s.id, s.nextAt))
-				}
-			}
-			return
-		}
-		var s *Shard
-		if rt := c.rt; rt != nil {
-			t0 := time.Now()
-			s = <-c.doneCh
-			rt.coordBlocked += time.Since(t0)
-		} else {
-			s = <-c.doneCh
-		}
-		running--
-		c.completeWindow(s)
-		// Absorb any other already-finished windows before regranting:
-		// completions only widen grants, and folding a batch into one
-		// clock relaxation amortizes it. A blocked sender on the
-		// unbuffered doneCh makes the receive immediately ready.
-		for drained := false; !drained; {
-			select {
-			case s := <-c.doneCh:
-				running--
-				c.completeWindow(s)
-			default:
-				drained = true
-			}
-		}
-	}
-}
-
-// grantWindows relaxes the channel clocks and dispatches every idle
-// shard whose own incoming channels admit work, returning the number of
-// windows granted.
-func (c *Coordinator) grantWindows(limit, deadline time.Duration) int {
-	c.relaxClocks()
-	rt := c.rt
-	if rt != nil {
-		rt.grantCalls++
-	}
-	granted := 0
-	for _, s := range c.shards {
-		if s.running || !s.hasNext || s.nextAt > deadline {
-			continue
-		}
-		g := c.grantFor(s)
-		if g > limit {
-			g = limit
-		}
-		if g <= s.nextAt {
-			continue
-		}
-		s.running = true
-		// Freeze the published bound at the window start: the window
-		// executes events at >= nextAt only, so no send it performs —
-		// and nothing parked in its outbox — can precede it.
-		s.lb = s.nextAt
-		s.grantEnd = g
-		granted++
-		if rt != nil {
-			sc := &rt.shards[s.id]
-			sc.grants++
-			sc.grantWidth += g - s.nextAt
-		}
-		if c.stealing {
-			c.stealCh <- s
-		} else {
-			s.grantCh <- struct{}{}
-		}
-	}
-	return granted
-}
-
-// relaxClocks publishes every idle shard's lower bound on future sends:
-// lb = min(next local event, min over incoming channels of
-// lb(src)+delay). Running shards keep the bound frozen at their window
-// start (they execute nothing earlier, and chains relayed through them
-// can only arrive later). The relaxation is plain Bellman-Ford over
-// the channel graph — the centralized form of CMB null messages: a
-// shard with no local work still advances its neighbors' clocks by
-// its own earliest possible cause plus the channel delay.
-func (c *Coordinator) relaxClocks() {
-	rt := c.rt
-	for _, s := range c.shards {
-		if s.running {
-			continue
-		}
-		if s.hasNext {
-			s.lb = s.nextAt
-		} else {
-			s.lb = timeInf
-		}
-	}
-	for {
-		changed := false
-		if rt != nil {
-			rt.relaxRounds++
-		}
-		for dst, ins := range c.in {
-			d := c.shards[dst]
-			if d.running {
-				continue
-			}
-			for _, ch := range ins {
-				if v := satAdd(c.shards[ch.src].lb, ch.delay); v < d.lb {
-					d.lb = v
-					changed = true
-					if rt != nil {
-						rt.shards[dst].nullAdvances++
-					}
-				}
-			}
-		}
-		if !changed {
-			return
-		}
-	}
-}
-
-// grantFor returns the shard's window grant: the minimum channel clock
-// over its incoming channels (timeInf for a shard nothing sends to).
-func (c *Coordinator) grantFor(s *Shard) time.Duration {
-	g := timeInf
-	for _, ch := range c.in[s.id] {
-		if v := satAdd(c.shards[ch.src].lb, ch.delay); v < g {
-			g = v
-		}
-	}
-	return g
-}
-
-// buildChannels flattens the registered boundaries into the per-shard
-// incoming channel lists, in (src, dst) creation order so the layout —
-// and hence the relaxation's memory access pattern — is reproducible.
-func (c *Coordinator) buildChannels() {
-	if c.in != nil {
-		return
-	}
-	c.in = make([][]inChan, len(c.shards))
-	for _, from := range c.shards {
-		for _, to := range c.shards {
-			if d, ok := c.chanDelay[[2]int{from.id, to.id}]; ok {
-				c.in[to.id] = append(c.in[to.id], inChan{src: from.id, delay: d})
-			}
-		}
-	}
-}
-
-// completeWindow absorbs one finished window: the shard's outbox slabs
-// are handed to their destinations (injected straight into idle ones;
-// parked whole — a pointer append — for running ones, whose engines
-// are owned by their workers), its own parked slabs are injected, and
-// it returns to the grantable pool.
-func (c *Coordinator) completeWindow(s *Shard) {
-	s.running = false
-	rt := c.rt
-	for _, dst := range s.outDst {
-		sl := s.outboxTo[dst]
-		s.outboxTo[dst] = nil
-		d := c.shards[dst]
-		if rt != nil {
-			rt.shards[s.id].outboxSent += uint64(len(sl.ev))
-		}
-		if d.running {
-			// d's engine is in flight; park the whole slab. Safe: every
-			// arrival in it is at or beyond d's grant (that is how d's
-			// grant was computed), so nothing d's current window
-			// executes could need it. The slab now belongs to d and is
-			// recycled into d's free list after injection.
-			d.pendingSlabs = append(d.pendingSlabs, sl)
-			if rt != nil {
-				rt.shards[d.id].parked += uint64(len(sl.ev))
-			}
-		} else {
-			injectSlab(d, sl)
-			s.putSlab(sl)
-		}
-	}
-	s.outDst = s.outDst[:0]
-	for _, sl := range s.pendingSlabs {
-		injectSlab(s, sl)
-		s.putSlab(sl)
-	}
-	s.pendingSlabs = s.pendingSlabs[:0]
-}
-
-// work is a dedicated worker: it runs its own shard's granted windows.
-// The channels arrive as parameters so the loop never reads coordinator
-// fields the next RunUntil will re-make; w is the worker's index for
-// wall-time attribution (equal to the shard's id for dedicated
-// workers). The blocked charge after the done handoff runs after the
-// coordinator may already have moved on — which is why worker-side
-// counters are atomics.
-func (c *Coordinator) work(w int, s *Shard, grants <-chan struct{}, done chan<- *Shard) {
+// work is a shard's worker: it runs the shard's granted windows. The
+// channels arrive as parameters so the loop never reads coordinator
+// state the next RunUntil will re-make. The blocked charge after the
+// done handoff runs after the coordinator may already have moved on —
+// which is why worker-side counters are atomics.
+func (c *Coordinator) work(s *Shard, grants <-chan struct{}, done chan<- struct{}) {
 	mark := time.Now()
 	for range grants {
-		c.runGrant(w, s, &mark)
-		done <- s
+		c.runGrant(s, &mark)
+		done <- struct{}{}
 		if c.rt != nil {
-			c.rt.workerBlocked(w, &mark)
-		}
-	}
-}
-
-// stealWork runs whichever shard's window the grant queue hands worker
-// w.
-func (c *Coordinator) stealWork(w int, grants <-chan *Shard, done chan<- *Shard) {
-	mark := time.Now()
-	for s := range grants {
-		c.runGrant(w, s, &mark)
-		done <- s
-		if c.rt != nil {
-			c.rt.workerBlocked(w, &mark)
+			c.rt.workerBlocked(s.id, &mark)
 		}
 	}
 }
@@ -866,12 +463,11 @@ func (c *Coordinator) minNext() (time.Duration, bool) {
 	return min, ok
 }
 
-// drainOutboxes injects every parked cross-shard slab into its
-// destination engine (ParGlobal's barrier drain; every shard is parked
-// at the barrier, so nothing is ever mid-window here). Injection order
-// is irrelevant to the result (the queue orders purely by key) but
-// slabs are drained in (source shard, first-send) order anyway so the
-// engine's internal layout is reproducible too.
+// drainOutboxes injects every outbox slab into its destination engine
+// (every shard is parked at the barrier, so nothing is ever mid-window
+// here). Injection order is irrelevant to the result (the queue orders
+// purely by key) but slabs are drained in (source shard, first-send)
+// order anyway so the engine's internal layout is reproducible too.
 func (c *Coordinator) drainOutboxes() {
 	for _, s := range c.shards {
 		for _, dst := range s.outDst {

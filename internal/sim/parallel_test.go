@@ -7,17 +7,10 @@ import (
 	"time"
 )
 
-// parConfigs enumerates the coordinator configurations every
-// serial-equivalence test must hold under.
-var parConfigs = []struct {
-	name  string
-	mode  ParMode
-	steal bool
-}{
-	{"global", ParGlobal, false},
-	{"channel", ParChannel, false},
-	{"channel-steal", ParChannel, true},
-}
+// protoName names the subtest under which the serial-equivalence tests
+// run their sharded side: the coordinator's bounded-lag protocol, which
+// advances every shard through one global window per round.
+const protoName = "global"
 
 // relayRec is one observed delivery at a node: when it ran and which
 // hop count it carried.
@@ -59,11 +52,9 @@ func runSerialRing(n, tokens, hops int, linkDelay, localStep time.Duration, dead
 }
 
 // runShardedRing is the same workload with one shard per node and every
-// ring link a boundary, under the given protocol configuration.
-func runShardedRing(n, tokens, hops int, linkDelay, localStep time.Duration, deadline time.Duration, mode ParMode, steal bool) ([][]relayRec, *Coordinator) {
+// ring link a boundary.
+func runShardedRing(n, tokens, hops int, linkDelay, localStep time.Duration, deadline time.Duration) ([][]relayRec, *Coordinator) {
 	coord := NewCoordinator()
-	coord.SetMode(mode)
-	coord.SetWorkStealing(steal)
 	shards := make([]*Shard, n)
 	for i := range shards {
 		shards[i] = coord.NewShard()
@@ -98,8 +89,7 @@ func runShardedRing(n, tokens, hops int, linkDelay, localStep time.Duration, dea
 
 // A multi-token relay ring must produce byte-identical per-node
 // delivery logs whether it runs on one engine or on one shard per node,
-// under every protocol configuration, and the total event count must be
-// conserved.
+// and the sharded run must actually execute events.
 func TestCoordinatorRingMatchesSerial(t *testing.T) {
 	const (
 		n         = 4
@@ -110,20 +100,18 @@ func TestCoordinatorRingMatchesSerial(t *testing.T) {
 		deadline  = 10 * time.Millisecond
 	)
 	serial := runSerialRing(n, tokens, hops, linkDelay, localStep, deadline)
-	for _, cfg := range parConfigs {
-		t.Run(cfg.name, func(t *testing.T) {
-			sharded, coord := runShardedRing(n, tokens, hops, linkDelay, localStep, deadline, cfg.mode, cfg.steal)
-			for i := range serial {
-				if !reflect.DeepEqual(serial[i], sharded[i]) {
-					t.Fatalf("node %d: sharded log diverges from serial\nserial:  %v\nsharded: %v",
-						i, trunc(serial[i]), trunc(sharded[i]))
-				}
+	t.Run(protoName, func(t *testing.T) {
+		sharded, coord := runShardedRing(n, tokens, hops, linkDelay, localStep, deadline)
+		for i := range serial {
+			if !reflect.DeepEqual(serial[i], sharded[i]) {
+				t.Fatalf("node %d: sharded log diverges from serial\nserial:  %v\nsharded: %v",
+					i, trunc(serial[i]), trunc(sharded[i]))
 			}
-			if coord.Processed() == 0 {
-				t.Fatal("sharded run processed no events")
-			}
-		})
-	}
+		}
+		if coord.Processed() == 0 {
+			t.Fatal("sharded run processed no events")
+		}
+	})
 }
 
 func trunc(r []relayRec) []relayRec {
@@ -134,68 +122,42 @@ func trunc(r []relayRec) []relayRec {
 }
 
 // Two identical sharded runs must be identical to each other
-// (goroutine scheduling must not leak into results), under every
-// protocol configuration.
+// (goroutine scheduling must not leak into results).
 func TestCoordinatorDeterministic(t *testing.T) {
 	const deadline = 5 * time.Millisecond
-	for _, cfg := range parConfigs {
-		t.Run(cfg.name, func(t *testing.T) {
-			a, ca := runShardedRing(5, 5, 120, 11*time.Microsecond, 2*time.Microsecond, deadline, cfg.mode, cfg.steal)
-			b, cb := runShardedRing(5, 5, 120, 11*time.Microsecond, 2*time.Microsecond, deadline, cfg.mode, cfg.steal)
-			if !reflect.DeepEqual(a, b) {
-				t.Fatal("two identical sharded runs diverged")
-			}
-			if ca.Processed() != cb.Processed() {
-				t.Fatalf("processed counts diverged: %d vs %d", ca.Processed(), cb.Processed())
-			}
-		})
-	}
-}
-
-// The two protocols (and the stealing worker discipline) must agree
-// with each other, not just each with serial: -par is a pure A/B
-// switch at any fixed shard count.
-func TestCoordinatorModesAgree(t *testing.T) {
-	const deadline = 5 * time.Millisecond
-	global, cg := runShardedRing(5, 5, 150, 9*time.Microsecond, 2*time.Microsecond, deadline, ParGlobal, false)
-	channel, cc := runShardedRing(5, 5, 150, 9*time.Microsecond, 2*time.Microsecond, deadline, ParChannel, false)
-	steal, cs := runShardedRing(5, 5, 150, 9*time.Microsecond, 2*time.Microsecond, deadline, ParChannel, true)
-	if !reflect.DeepEqual(global, channel) {
-		t.Fatal("global and channel protocols diverged")
-	}
-	if !reflect.DeepEqual(channel, steal) {
-		t.Fatal("dedicated and stealing workers diverged")
-	}
-	if cg.Processed() != cc.Processed() || cc.Processed() != cs.Processed() {
-		t.Fatalf("processed counts diverged: global %d, channel %d, steal %d",
-			cg.Processed(), cc.Processed(), cs.Processed())
-	}
+	t.Run(protoName, func(t *testing.T) {
+		a, ca := runShardedRing(5, 5, 120, 11*time.Microsecond, 2*time.Microsecond, deadline)
+		b, cb := runShardedRing(5, 5, 120, 11*time.Microsecond, 2*time.Microsecond, deadline)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatal("two identical sharded runs diverged")
+		}
+		if ca.Processed() != cb.Processed() {
+			t.Fatalf("processed counts diverged: %d vs %d", ca.Processed(), cb.Processed())
+		}
+	})
 }
 
 // A ping-pong between two shards exercises the minimal grant cycle:
 // exactly one shard active per window.
 func TestCoordinatorPingPongMatchesSerial(t *testing.T) {
 	serial := runSerialRing(2, 1, 500, 5*time.Microsecond, time.Microsecond, 20*time.Millisecond)
-	for _, cfg := range parConfigs {
-		t.Run(cfg.name, func(t *testing.T) {
-			sharded, _ := runShardedRing(2, 1, 500, 5*time.Microsecond, time.Microsecond, 20*time.Millisecond, cfg.mode, cfg.steal)
-			if !reflect.DeepEqual(serial, sharded) {
-				t.Fatal("ping-pong sharded log diverges from serial")
-			}
-			// The token must actually have bounced to the end.
-			last := sharded[0][len(sharded[0])-1]
-			if last.Hop < 498 {
-				t.Fatalf("token stalled at hop %d", last.Hop)
-			}
-		})
-	}
+	t.Run(protoName, func(t *testing.T) {
+		sharded, _ := runShardedRing(2, 1, 500, 5*time.Microsecond, time.Microsecond, 20*time.Millisecond)
+		if !reflect.DeepEqual(serial, sharded) {
+			t.Fatal("ping-pong sharded log diverges from serial")
+		}
+		// The token must actually have bounced to the end.
+		last := sharded[0][len(sharded[0])-1]
+		if last.Hop < 498 {
+			t.Fatalf("token stalled at hop %d", last.Hop)
+		}
+	})
 }
 
-// A skewed ring — all tokens start on one node, and only that node does
-// local busywork — concentrates nearly all events on one shard. The
-// stealing discipline must still match serial exactly (this is the
-// load shape work-stealing exists for).
-func TestCoordinatorSkewedLoadStealing(t *testing.T) {
+// A skewed ring concentrates all events on one shard at a time: the
+// other shards sit out every window, and the run must still match
+// serial exactly.
+func TestCoordinatorSkewedLoad(t *testing.T) {
 	const (
 		n         = 6
 		hops      = 150
@@ -204,10 +166,9 @@ func TestCoordinatorSkewedLoadStealing(t *testing.T) {
 		deadline  = 10 * time.Millisecond
 	)
 	// One token on a six-shard ring: at any instant exactly one shard
-	// has work, the other five idle — the maximal skew, every window a
-	// steal.
+	// has work, the other five idle — the maximal skew.
 	serial := runSerialRing(n, 1, hops, linkDelay, localStep, deadline)
-	sharded, coord := runShardedRing(n, 1, hops, linkDelay, localStep, deadline, ParChannel, true)
+	sharded, coord := runShardedRing(n, 1, hops, linkDelay, localStep, deadline)
 	if !reflect.DeepEqual(serial, sharded) {
 		t.Fatal("skewed sharded log diverges from serial")
 	}
@@ -289,9 +250,9 @@ func TestBoundaryValidation(t *testing.T) {
 }
 
 // The coordinator's configuration freezes at the first RunUntil:
-// registering a boundary (or a shard, or flipping the protocol)
-// afterwards must panic instead of silently invalidating the channel
-// clocks already used to admit executed windows — even between runs.
+// registering a boundary (or a shard) afterwards must panic instead of
+// silently invalidating the lookahead already used to admit executed
+// windows — even between runs.
 func TestConfigFrozenAfterRun(t *testing.T) {
 	coord := NewCoordinator()
 	a, b := coord.NewShard(), coord.NewShard()
@@ -301,10 +262,8 @@ func TestConfigFrozenAfterRun(t *testing.T) {
 	coord.RunUntil(time.Millisecond)
 
 	for name, fn := range map[string]func(){
-		"Boundary":        func() { coord.Boundary(b, a, 5*time.Microsecond) },
-		"NewShard":        func() { coord.NewShard() },
-		"SetMode":         func() { coord.SetMode(ParGlobal) },
-		"SetWorkStealing": func() { coord.SetWorkStealing(true) },
+		"Boundary": func() { coord.Boundary(b, a, 5*time.Microsecond) },
+		"NewShard": func() { coord.NewShard() },
 	} {
 		func() {
 			defer func() {
@@ -320,96 +279,67 @@ func TestConfigFrozenAfterRun(t *testing.T) {
 	coord.RunUntil(3 * time.Millisecond)
 }
 
-// TestChannelClockRelaxation pins the null-advance arithmetic on a
-// three-shard cycle A->B->C->A: an idle shard (B) must relay its
-// neighbor's bound plus the channel delay, and each shard's grant must
-// be its own incoming clock — not the global minimum cut delay.
-func TestChannelClockRelaxation(t *testing.T) {
+// TestBarrierWindowBounds pins the window arithmetic on a two-shard
+// run with a 5us lookahead: a round's window is [T, T+L) from the
+// earliest pending event T, only shards with work inside it are
+// granted, an event exactly at a window end waits for the next round
+// (after the barrier has injected the arrival that ties with it), and
+// the last window stretches one nanosecond past the deadline.
+func TestBarrierWindowBounds(t *testing.T) {
+	const us = time.Microsecond
 	coord := NewCoordinator()
-	a, b, c := coord.NewShard(), coord.NewShard(), coord.NewShard()
-	coord.Boundary(a, b, 5*time.Microsecond)
-	coord.Boundary(b, c, 7*time.Microsecond)
-	coord.Boundary(c, a, 50*time.Microsecond)
-	coord.buildChannels()
-
-	a.hasNext, a.nextAt = true, 10*time.Microsecond
-	b.hasNext = false
-	c.hasNext, c.nextAt = true, 100*time.Microsecond
-	coord.relaxClocks()
-
-	if a.lb != 10*time.Microsecond {
-		t.Errorf("lb(A) = %v, want 10us", a.lb)
-	}
-	if b.lb != 15*time.Microsecond {
-		t.Errorf("lb(B) = %v, want 15us (null advance through idle B)", b.lb)
-	}
-	if c.lb != 22*time.Microsecond {
-		t.Errorf("lb(C) = %v, want 22us (folded against local 100us)", c.lb)
-	}
-	// Grants: each shard bounded by its own incoming channel, not the
-	// 5us global lookahead.
-	if g := coord.grantFor(b); g != 15*time.Microsecond {
-		t.Errorf("grant(B) = %v, want 15us", g)
-	}
-	if g := coord.grantFor(c); g != 22*time.Microsecond {
-		t.Errorf("grant(C) = %v, want 22us", g)
-	}
-	if g := coord.grantFor(a); g != 72*time.Microsecond {
-		t.Errorf("grant(A) = %v, want 72us — 14x the global lookahead window", g)
-	}
-	if coord.Lookahead() != 5*time.Microsecond {
-		t.Errorf("global lookahead = %v, want 5us", coord.Lookahead())
-	}
-}
-
-// A frozen (running) shard must contribute its window start, not a
-// relaxed value, and must not be relaxed itself.
-func TestChannelClockFrozenWhileRunning(t *testing.T) {
-	coord := NewCoordinator()
+	coord.EnableRuntimeStats()
 	a, b := coord.NewShard(), coord.NewShard()
-	coord.Boundary(a, b, 5*time.Microsecond)
-	coord.Boundary(b, a, 5*time.Microsecond)
-	coord.buildChannels()
+	ab := coord.Boundary(a, b, 5*us)
+	coord.Boundary(b, a, 50*us)
+	if coord.Lookahead() != 5*us {
+		t.Fatalf("lookahead = %v, want 5us", coord.Lookahead())
+	}
+	// One log per shard: both workers run concurrently in round 2.
+	var onA, onB []string
+	rec := func(log *[]string, s *Shard, name string) {
+		*log = append(*log, fmt.Sprintf("%s@%v", name, s.Engine().Now()))
+	}
+	a.Engine().ScheduleAt(10*us, func() {
+		rec(&onA, a, "a1")
+		ab.Send(func(any) { rec(&onB, b, "b1") }, nil)
+	})
+	a.Engine().ScheduleAt(15*us, func() { rec(&onA, a, "a2") })
+	a.Engine().ScheduleAt(17*us, func() { rec(&onA, a, "a3") })
+	a.Engine().ScheduleAt(18*us, func() { rec(&onA, a, "a4") })
+	b.Engine().ScheduleAt(15*us, func() { rec(&onB, b, "b0") })
+	coord.RunUntil(17 * us)
 
-	a.running, a.lb = true, 20*time.Microsecond // window started at 20us
-	b.hasNext, b.nextAt = true, 100*time.Microsecond
-	coord.relaxClocks()
-	if a.lb != 20*time.Microsecond {
-		t.Errorf("running shard's lb relaxed to %v, want frozen 20us", a.lb)
+	// Round 1 is [10us, 15us) on A alone; round 2 is [15us, 17us+1ns) on
+	// both shards.
+	if want := []string{"a1@10µs", "a2@15µs", "a3@17µs"}; !reflect.DeepEqual(onA, want) {
+		t.Errorf("shard A ran %v, want %v", onA, want)
 	}
-	if b.lb != 25*time.Microsecond {
-		t.Errorf("lb(B) = %v, want 25us (frozen A bound + delay)", b.lb)
+	if want := []string{"b0@15µs", "b1@15µs"}; !reflect.DeepEqual(onB, want) {
+		t.Errorf("shard B ran %v, want %v", onB, want)
 	}
-	if g := coord.grantFor(b); g != 25*time.Microsecond {
-		t.Errorf("grant(B) = %v, want 25us", g)
+	st, _ := coord.RuntimeStats()
+	if st.GrantCalls != 2 {
+		t.Errorf("rounds = %d, want 2", st.GrantCalls)
 	}
-}
-
-func TestParseParMode(t *testing.T) {
-	cases := []struct {
-		in    string
-		mode  ParMode
-		steal bool
-		err   bool
-	}{
-		{"channel", ParChannel, false, false},
-		{"channel-steal", ParChannel, true, false},
-		{"global", ParGlobal, false, false},
-		{"", 0, false, true},
-		{"speculative", 0, false, true},
+	sa, sb := st.PerShard[0], st.PerShard[1]
+	if sa.Grants != 2 || sb.Grants != 1 {
+		t.Errorf("grants A=%d B=%d, want 2 and 1", sa.Grants, sb.Grants)
 	}
-	for _, c := range cases {
-		mode, steal, err := ParseParMode(c.in)
-		if (err != nil) != c.err {
-			t.Errorf("ParseParMode(%q) err = %v, want err=%v", c.in, err, c.err)
-			continue
-		}
-		if err == nil && (mode != c.mode || steal != c.steal) {
-			t.Errorf("ParseParMode(%q) = (%v, %v), want (%v, %v)", c.in, mode, steal, c.mode, c.steal)
-		}
+	if want := 7*us + 1; sa.GrantWidth != want {
+		t.Errorf("A grant width %v, want %v (5us, then 2us+1ns to the deadline)", sa.GrantWidth, want)
 	}
-	if ParChannel.String() != "channel" || ParGlobal.String() != "global" {
-		t.Error("ParMode.String does not round-trip the flag spelling")
+	if want := 2*us + 1; sb.GrantWidth != want {
+		t.Errorf("B grant width %v, want %v", sb.GrantWidth, want)
+	}
+	if sa.OutboxSent != 1 || sb.OutboxSent != 0 {
+		t.Errorf("outbox A=%d B=%d, want 1 and 0", sa.OutboxSent, sb.OutboxSent)
+	}
+	if a.Engine().Now() != 17*us || b.Engine().Now() != 17*us {
+		t.Errorf("clocks at %v/%v, want the 17us deadline", a.Engine().Now(), b.Engine().Now())
+	}
+	if a.Engine().Pending() != 1 {
+		t.Errorf("A has %d pending, want the 18us event", a.Engine().Pending())
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 //
 //   - Run-end snapshots (EnableRuntimeStats / RuntimeStats,
 //     Engine.Stats): counters and wall-time accounting answering "what
-//     did the parallel protocol actually do" — window grants,
-//     null-advance relaxations, steals, per-worker busy/blocked/idle
-//     time, calendar-queue churn.
+//     did the parallel protocol actually do" — window grants and their
+//     widths, cross-shard handoffs, per-worker busy/blocked/idle time,
+//     calendar-queue churn.
 //   - A live progress surface (Monitor): per-shard event counts and
 //     clocks published through atomics, so a sampler goroutine can
 //     stream progress without ever touching an engine.
@@ -25,8 +25,7 @@ import (
 // bounds, event order, and every simulated byte are computed exactly as
 // before. The worker-written counters are atomics read by RuntimeStats
 // and the sampler; the coordinator-written ones are plain fields,
-// written only between the owning shard's windows (the same discipline
-// as the channel-clock state itself).
+// written only at the window barrier, while every worker is parked.
 
 // ShardStats is the run-end self-observation record of one shard.
 type ShardStats struct {
@@ -35,18 +34,12 @@ type ShardStats struct {
 	// GrantWidth is the summed width of those windows (grant end minus
 	// the shard's earliest pending event at grant time).
 	GrantWidth time.Duration `json:"grantWidth"`
-	// NullAdvances counts relaxations of this shard's send lower bound
-	// through an incoming channel — the centralized form of CMB null
-	// messages it received.
-	NullAdvances uint64 `json:"nullAdvances"`
-	// Steals counts windows of this shard executed by a foreign worker
-	// (work-stealing only).
-	Steals uint64 `json:"steals"`
 	// OutboxSent counts cross-shard deliveries drained from this
 	// shard's outbox slabs.
 	OutboxSent uint64 `json:"outboxSent"`
-	// Parked counts arrivals parked (slab-wise) at this shard because
-	// a window was in flight when they were delivered.
+	// Parked is always 0: the barrier protocol delivers every arrival
+	// at the barrier, never into a window in flight. It stays only
+	// because simbench's pdes.parked metric reads it.
 	Parked uint64 `json:"parked"`
 	// Events counts events executed inside this shard's windows.
 	Events uint64 `json:"events"`
@@ -68,14 +61,13 @@ type WorkerStats struct {
 
 // CoordinatorStats is the run-end runtime snapshot of a sharded run.
 type CoordinatorStats struct {
-	// Mode and Stealing echo the protocol configuration.
-	Mode     string `json:"mode"`
-	Stealing bool   `json:"stealing"`
-	// RelaxRounds counts Bellman-Ford sweeps over the channel graph;
-	// GrantCalls counts grant-dispatch passes. Their ratio is the
-	// null-advance overhead of the protocol.
+	// RelaxRounds is always 0: the barrier protocol keeps no channel
+	// clocks to relax. It stays only because simbench's
+	// pdes.null_rounds metric reads it.
 	RelaxRounds uint64 `json:"relaxRounds"`
-	GrantCalls  uint64 `json:"grantCalls"`
+	// GrantCalls counts barrier rounds; each grants one window to every
+	// shard with work inside it.
+	GrantCalls uint64 `json:"grantCalls"`
 	// Wall is wall time spent inside RunUntil; CoordBlocked is the
 	// fraction the coordinator spent waiting for a window completion.
 	Wall         time.Duration `json:"wall"`
@@ -85,19 +77,16 @@ type CoordinatorStats struct {
 }
 
 // shardCounters is the internal per-shard collector. The first group is
-// coordinator-owned (written only between the shard's windows, on the
-// coordinator goroutine); the second is worker-owned and atomic so the
+// coordinator-owned (written only at the barrier, on the coordinator
+// goroutine); the second is worker-owned and atomic so the
 // run-end snapshot — and a live sampler — can read it race-free while a
 // trailing window completes.
 type shardCounters struct {
-	grants       uint64
-	grantWidth   time.Duration
-	nullAdvances uint64
-	outboxSent   uint64
-	parked       uint64
+	grants     uint64
+	grantWidth time.Duration
+	outboxSent uint64
 
 	events atomic.Uint64
-	steals atomic.Uint64
 	busy   atomic.Int64 // ns
 }
 
@@ -113,7 +102,6 @@ type workerCounters struct {
 // runStats is the coordinator's runtime-stats collector, allocated by
 // EnableRuntimeStats. A nil *runStats is the disabled layer.
 type runStats struct {
-	relaxRounds  uint64
 	grantCalls   uint64
 	wall         time.Duration
 	coordBlocked time.Duration
@@ -153,9 +141,6 @@ func (c *Coordinator) RuntimeStats() (CoordinatorStats, bool) {
 		return CoordinatorStats{}, false
 	}
 	st := CoordinatorStats{
-		Mode:         c.mode.String(),
-		Stealing:     c.stealing,
-		RelaxRounds:  rt.relaxRounds,
 		GrantCalls:   rt.grantCalls,
 		Wall:         rt.wall,
 		CoordBlocked: rt.coordBlocked,
@@ -163,14 +148,11 @@ func (c *Coordinator) RuntimeStats() (CoordinatorStats, bool) {
 	for i := range rt.shards {
 		sc := &rt.shards[i]
 		st.PerShard = append(st.PerShard, ShardStats{
-			Grants:       sc.grants,
-			GrantWidth:   sc.grantWidth,
-			NullAdvances: sc.nullAdvances,
-			OutboxSent:   sc.outboxSent,
-			Parked:       sc.parked,
-			Events:       sc.events.Load(),
-			Steals:       sc.steals.Load(),
-			Busy:         time.Duration(sc.busy.Load()),
+			Grants:     sc.grants,
+			GrantWidth: sc.grantWidth,
+			OutboxSent: sc.outboxSent,
+			Events:     sc.events.Load(),
+			Busy:       time.Duration(sc.busy.Load()),
 		})
 	}
 	for i := range rt.workers {
@@ -185,17 +167,16 @@ func (c *Coordinator) RuntimeStats() (CoordinatorStats, bool) {
 	return st, true
 }
 
-// runGrant executes one granted window on worker w, attributing wall
-// time, events and steals when instrumentation is enabled and
-// publishing the shard's progress when a monitor is attached. It is the
-// shared body of the dedicated and stealing worker loops.
-func (c *Coordinator) runGrant(w int, s *Shard, mark *time.Time) {
+// runGrant executes one granted window on the shard's worker,
+// attributing wall time and events when instrumentation is enabled and
+// publishing the shard's progress when a monitor is attached.
+func (c *Coordinator) runGrant(s *Shard, mark *time.Time) {
 	rt := c.rt
 	if rt == nil {
 		s.nextAt, s.hasNext = s.eng.runBefore(s.grantEnd)
 	} else {
 		start := time.Now()
-		wc := &rt.workers[w]
+		wc := &rt.workers[s.id]
 		wc.idle.Add(int64(start.Sub(*mark)))
 		e0 := s.eng.processed
 		s.nextAt, s.hasNext = s.eng.runBefore(s.grantEnd)
@@ -206,9 +187,6 @@ func (c *Coordinator) runGrant(w int, s *Shard, mark *time.Time) {
 		sc := &rt.shards[s.id]
 		sc.events.Add(s.eng.processed - e0)
 		sc.busy.Add(d)
-		if w != s.id {
-			sc.steals.Add(1)
-		}
 		*mark = end
 	}
 	if s.mon != nil {

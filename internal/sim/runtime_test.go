@@ -10,10 +10,8 @@ import (
 // deadline split into two RunUntil calls so accumulation across calls
 // is exercised.
 func runInstrumentedRing(n, tokens, hops int, linkDelay, localStep time.Duration,
-	mid, deadline time.Duration, mode ParMode, steal bool) ([][]relayRec, *Coordinator, *Monitor) {
+	mid, deadline time.Duration) ([][]relayRec, *Coordinator, *Monitor) {
 	coord := NewCoordinator()
-	coord.SetMode(mode)
-	coord.SetWorkStealing(steal)
 	coord.EnableRuntimeStats()
 	mon := NewMonitor()
 	coord.SetMonitor(mon)
@@ -61,8 +59,7 @@ func shardTotals(st CoordinatorStats) (events, grants uint64) {
 
 // Runtime stats must (a) not perturb results — the instrumented sharded
 // ring still matches the uninstrumented serial run — and (b) report
-// internally consistent, monotonically accumulated counters under every
-// protocol configuration.
+// internally consistent, monotonically accumulated counters.
 func TestRuntimeStatsConsistent(t *testing.T) {
 	const (
 		n         = 4
@@ -74,130 +71,121 @@ func TestRuntimeStatsConsistent(t *testing.T) {
 		deadline  = 8 * time.Millisecond
 	)
 	serial := runSerialRing(n, tokens, hops, linkDelay, localStep, deadline)
-	for _, cfg := range parConfigs {
-		t.Run(cfg.name, func(t *testing.T) {
-			logs, coord, mon := runInstrumentedRing(n, tokens, hops, linkDelay, localStep,
-				mid, deadline, cfg.mode, cfg.steal)
-			for i := range serial {
-				if len(serial[i]) != len(logs[i]) {
-					t.Fatalf("node %d: instrumented run diverged (serial %d deliveries, got %d)",
-						i, len(serial[i]), len(logs[i]))
-				}
+	t.Run(protoName, func(t *testing.T) {
+		logs, coord, mon := runInstrumentedRing(n, tokens, hops, linkDelay, localStep,
+			mid, deadline)
+		for i := range serial {
+			if len(serial[i]) != len(logs[i]) {
+				t.Fatalf("node %d: instrumented run diverged (serial %d deliveries, got %d)",
+					i, len(serial[i]), len(logs[i]))
 			}
+		}
 
-			st, ok := coord.RuntimeStats()
-			if !ok {
-				t.Fatal("RuntimeStats not available after EnableRuntimeStats")
+		st, ok := coord.RuntimeStats()
+		if !ok {
+			t.Fatal("RuntimeStats not available after EnableRuntimeStats")
+		}
+		if st.RelaxRounds != 0 {
+			t.Fatalf("barrier protocol reports %d relax rounds, want 0", st.RelaxRounds)
+		}
+		if len(st.PerShard) != n || len(st.PerWorker) != n {
+			t.Fatalf("got %d shard / %d worker stats, want %d/%d",
+				len(st.PerShard), len(st.PerWorker), n, n)
+		}
+		events, grants := shardTotals(st)
+		if events != coord.Processed() {
+			t.Fatalf("per-shard events sum to %d, coordinator processed %d", events, coord.Processed())
+		}
+		if grants == 0 || st.GrantCalls == 0 {
+			t.Fatalf("no windows recorded (grants=%d grantCalls=%d)", grants, st.GrantCalls)
+		}
+		if st.Wall <= 0 {
+			t.Fatalf("wall time not recorded: %v", st.Wall)
+		}
+		if st.CoordBlocked < 0 || st.CoordBlocked > st.Wall {
+			t.Fatalf("coordinator blocked %v outside [0, wall=%v]", st.CoordBlocked, st.Wall)
+		}
+		var windows uint64
+		for i, w := range st.PerWorker {
+			if w.Busy < 0 || w.Blocked < 0 || w.Idle < 0 {
+				t.Fatalf("worker %d has negative time component: %+v", i, w)
 			}
-			if st.Mode != cfg.mode.String() || st.Stealing != cfg.steal {
-				t.Fatalf("stats identify run as mode=%s steal=%v, want %s/%v",
-					st.Mode, st.Stealing, cfg.mode, cfg.steal)
+			windows += w.Windows
+		}
+		if windows != grants {
+			t.Fatalf("worker windows sum to %d, shard grants to %d", windows, grants)
+		}
+		for i, s := range st.PerShard {
+			if s.Parked != 0 {
+				t.Fatalf("shard %d parked %d arrivals, want 0 (all land at the barrier)", i, s.Parked)
 			}
-			if len(st.PerShard) != n || len(st.PerWorker) != n {
-				t.Fatalf("got %d shard / %d worker stats, want %d/%d",
-					len(st.PerShard), len(st.PerWorker), n, n)
-			}
-			events, grants := shardTotals(st)
-			if events != coord.Processed() {
-				t.Fatalf("per-shard events sum to %d, coordinator processed %d", events, coord.Processed())
-			}
-			if grants == 0 || st.GrantCalls == 0 {
-				t.Fatalf("no windows recorded (grants=%d grantCalls=%d)", grants, st.GrantCalls)
-			}
-			if st.Wall <= 0 {
-				t.Fatalf("wall time not recorded: %v", st.Wall)
-			}
-			if st.CoordBlocked < 0 || st.CoordBlocked > st.Wall {
-				t.Fatalf("coordinator blocked %v outside [0, wall=%v]", st.CoordBlocked, st.Wall)
-			}
-			var windows uint64
-			for i, w := range st.PerWorker {
-				if w.Busy < 0 || w.Blocked < 0 || w.Idle < 0 {
-					t.Fatalf("worker %d has negative time component: %+v", i, w)
-				}
-				windows += w.Windows
-			}
-			if windows != grants {
-				t.Fatalf("worker windows sum to %d, shard grants to %d", windows, grants)
-			}
-			if cfg.mode == ParChannel && !cfg.steal {
-				for i, s := range st.PerShard {
-					if s.Steals != 0 {
-						t.Fatalf("shard %d records %d steals without work-stealing", i, s.Steals)
-					}
-				}
-			}
+		}
 
-			p := mon.Snapshot()
-			if p.Events != coord.Processed() {
-				t.Fatalf("monitor published %d events, coordinator processed %d", p.Events, coord.Processed())
-			}
-			if p.Frontier != deadline || p.Lag != 0 {
-				t.Fatalf("monitor frontier=%v lag=%v at run end, want %v/0", p.Frontier, p.Lag, deadline)
-			}
-			if p.Deadline != deadline {
-				t.Fatalf("monitor deadline %v, want %v", p.Deadline, deadline)
-			}
-		})
-	}
+		p := mon.Snapshot()
+		if p.Events != coord.Processed() {
+			t.Fatalf("monitor published %d events, coordinator processed %d", p.Events, coord.Processed())
+		}
+		if p.Frontier != deadline || p.Lag != 0 {
+			t.Fatalf("monitor frontier=%v lag=%v at run end, want %v/0", p.Frontier, p.Lag, deadline)
+		}
+		if p.Deadline != deadline {
+			t.Fatalf("monitor deadline %v, want %v", p.Deadline, deadline)
+		}
+	})
 }
 
 // Successive RunUntil calls accumulate: no counter or duration may
 // decrease between snapshots.
 func TestRuntimeStatsMonotonic(t *testing.T) {
-	for _, cfg := range parConfigs {
-		t.Run(cfg.name, func(t *testing.T) {
-			coord := NewCoordinator()
-			coord.SetMode(cfg.mode)
-			coord.SetWorkStealing(cfg.steal)
-			coord.EnableRuntimeStats()
-			a := coord.NewShard()
-			b := coord.NewShard()
-			bounds := [2]*Boundary{
-				coord.Boundary(a, b, 5*time.Microsecond),
-				coord.Boundary(b, a, 5*time.Microsecond),
+	t.Run(protoName, func(t *testing.T) {
+		coord := NewCoordinator()
+		coord.EnableRuntimeStats()
+		a := coord.NewShard()
+		b := coord.NewShard()
+		bounds := [2]*Boundary{
+			coord.Boundary(a, b, 5*time.Microsecond),
+			coord.Boundary(b, a, 5*time.Microsecond),
+		}
+		shards := [2]*Shard{a, b}
+		var bounce func(node, hop int)
+		bounce = func(node, hop int) {
+			if hop >= 400 {
+				return
 			}
-			shards := [2]*Shard{a, b}
-			var bounce func(node, hop int)
-			bounce = func(node, hop int) {
-				if hop >= 400 {
-					return
-				}
-				shards[node].Engine().Schedule(time.Microsecond, func() {
-					bounds[node].Send(func(any) { bounce(1-node, hop+1) }, nil)
-				})
-			}
-			a.Engine().ScheduleAt(0, func() { bounce(0, 0) })
+			shards[node].Engine().Schedule(time.Microsecond, func() {
+				bounds[node].Send(func(any) { bounce(1-node, hop+1) }, nil)
+			})
+		}
+		a.Engine().ScheduleAt(0, func() { bounce(0, 0) })
 
-			var prev CoordinatorStats
-			for i, deadline := range []time.Duration{2 * time.Millisecond, 4 * time.Millisecond, 6 * time.Millisecond} {
-				coord.RunUntil(deadline)
-				st, ok := coord.RuntimeStats()
-				if !ok {
-					t.Fatal("RuntimeStats not available")
-				}
-				if i > 0 {
-					if st.Wall < prev.Wall || st.RelaxRounds < prev.RelaxRounds || st.GrantCalls < prev.GrantCalls {
-						t.Fatalf("coordinator counters regressed: %+v -> %+v", prev, st)
-					}
-					for j := range st.PerShard {
-						p, c := prev.PerShard[j], st.PerShard[j]
-						if c.Events < p.Events || c.Grants < p.Grants || c.Busy < p.Busy ||
-							c.NullAdvances < p.NullAdvances || c.OutboxSent < p.OutboxSent {
-							t.Fatalf("shard %d counters regressed: %+v -> %+v", j, p, c)
-						}
-					}
-					for j := range st.PerWorker {
-						p, c := prev.PerWorker[j], st.PerWorker[j]
-						if c.Windows < p.Windows || c.Busy < p.Busy || c.Blocked < p.Blocked || c.Idle < p.Idle {
-							t.Fatalf("worker %d time accounting regressed: %+v -> %+v", j, p, c)
-						}
-					}
-				}
-				prev = st
+		var prev CoordinatorStats
+		for i, deadline := range []time.Duration{2 * time.Millisecond, 4 * time.Millisecond, 6 * time.Millisecond} {
+			coord.RunUntil(deadline)
+			st, ok := coord.RuntimeStats()
+			if !ok {
+				t.Fatal("RuntimeStats not available")
 			}
-		})
-	}
+			if i > 0 {
+				if st.Wall < prev.Wall || st.GrantCalls < prev.GrantCalls {
+					t.Fatalf("coordinator counters regressed: %+v -> %+v", prev, st)
+				}
+				for j := range st.PerShard {
+					p, c := prev.PerShard[j], st.PerShard[j]
+					if c.Events < p.Events || c.Grants < p.Grants || c.Busy < p.Busy ||
+						c.GrantWidth < p.GrantWidth || c.OutboxSent < p.OutboxSent {
+						t.Fatalf("shard %d counters regressed: %+v -> %+v", j, p, c)
+					}
+				}
+				for j := range st.PerWorker {
+					p, c := prev.PerWorker[j], st.PerWorker[j]
+					if c.Windows < p.Windows || c.Busy < p.Busy || c.Blocked < p.Blocked || c.Idle < p.Idle {
+						t.Fatalf("worker %d time accounting regressed: %+v -> %+v", j, p, c)
+					}
+				}
+			}
+			prev = st
+		}
+	})
 }
 
 // Without EnableRuntimeStats the coordinator reports no stats, and a

@@ -30,7 +30,7 @@ type FatTreeConfig struct {
 	// gets a unique length, and none matches the pod-internal delay.
 	// Differential tests use a nanosecond-scale skew so no two
 	// cross-shard arrivals can tie on (at, schedAt) through different
-	// channels, which is the precondition for the sharded tie-break to
+	// cut links, which is the precondition for the sharded tie-break to
 	// reproduce the serial one exactly (see the lane discussion in
 	// internal/sim). Physically it models unequal cable runs to the
 	// core tier; BaseRTT ignores it (it is sub-precision noise there).
@@ -358,7 +358,7 @@ func NewFatTreeSharded(coord *sim.Coordinator, cfg FatTreeConfig, shards int) (*
 	}
 	// Same per-(pod, core) cable-length formula as the serial builder;
 	// these are the cut links, so a skew here also diversifies the
-	// coordinator's per-channel delays.
+	// arrival times of cross-shard deliveries.
 	fabricLink := func(p, c int, from, to netsim.Node) netsim.Link {
 		d := cfg.Delay + time.Duration(1+p*nCores+c)*cfg.FabricDelaySkew
 		return sb.linkVal(from.NodeID(), to.NodeID(), cfg.Rate, d, to)

@@ -56,21 +56,6 @@ func (p *Partition) MinCutDelay() time.Duration {
 	return min
 }
 
-// PairDelays returns the minimum cut delay per directed shard pair
-// {src, dst}. This is the per-channel lookahead the channel-clock
-// coordinator runs on: a pair connected only by slow links is not
-// throttled to the partition-wide MinCutDelay.
-func (p *Partition) PairDelays() map[[2]int]time.Duration {
-	out := make(map[[2]int]time.Duration)
-	for _, c := range p.Cuts {
-		key := [2]int{c.SrcShard, c.DstShard}
-		if d, ok := out[key]; !ok || c.Delay < d {
-			out[key] = c.Delay
-		}
-	}
-	return out
-}
-
 func (p *Partition) assign(id pkt.NodeID, shard int) {
 	if prev, ok := p.shardOf[id]; ok {
 		panic(fmt.Sprintf("topo: node %d assigned to shard %d and %d", id, prev, shard))

@@ -156,53 +156,6 @@ func TestPartitionInvariants(t *testing.T) {
 	}
 }
 
-// PairDelays must fold multiple cut edges per shard pair to the pair's
-// minimum, keep directions independent, and cover exactly the pairs
-// that have cuts.
-func TestPartitionPairDelays(t *testing.T) {
-	p := &Partition{Shards: 3, Cuts: []CutEdge{
-		{From: 1, To: 2, SrcShard: 0, DstShard: 1, Delay: 5 * time.Microsecond},
-		{From: 3, To: 4, SrcShard: 0, DstShard: 1, Delay: 2 * time.Microsecond},
-		{From: 2, To: 1, SrcShard: 1, DstShard: 0, Delay: 9 * time.Microsecond},
-		{From: 5, To: 6, SrcShard: 1, DstShard: 2, Delay: 4 * time.Microsecond},
-	}}
-	got := p.PairDelays()
-	want := map[[2]int]time.Duration{
-		{0, 1}: 2 * time.Microsecond, // min of 5us and 2us
-		{1, 0}: 9 * time.Microsecond, // reverse direction is independent
-		{1, 2}: 4 * time.Microsecond,
-	}
-	if len(got) != len(want) {
-		t.Fatalf("PairDelays has %d pairs, want %d: %v", len(got), len(want), got)
-	}
-	for k, d := range want {
-		if got[k] != d {
-			t.Fatalf("PairDelays[%v] = %v, want %v", k, got[k], d)
-		}
-	}
-
-	// On a real sharded build, every pair delay must be >= the global
-	// minimum, and the minimum over pairs must equal MinCutDelay.
-	coord := sim.NewCoordinator()
-	_, part := NewFatTreeSharded(coord, FatTreeConfig{K: 4, Ports: fifoProfile()}, 4)
-	pd := part.PairDelays()
-	if len(pd) == 0 {
-		t.Fatal("fat-tree/4 has no pair delays")
-	}
-	min := time.Duration(0)
-	for _, d := range pd {
-		if d < part.MinCutDelay() {
-			t.Fatalf("pair delay %v below MinCutDelay %v", d, part.MinCutDelay())
-		}
-		if min == 0 || d < min {
-			min = d
-		}
-	}
-	if min != part.MinCutDelay() {
-		t.Fatalf("min over pairs %v != MinCutDelay %v", min, part.MinCutDelay())
-	}
-}
-
 // A degenerate 1-shard partition must reproduce the serial wiring: same
 // node IDs, same port counts, and a single engine driving everything.
 func TestSingleShardEqualsSerialWiring(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 )
@@ -20,8 +21,9 @@ import (
 // must have exactly five, and a malformed data value is always an
 // error, never silently skipped (a first row like "12x3,..." begins
 // numerically, so it is a bad data row, not a header). Lines must
-// satisfy src != dst and size >= 1; non-decreasing start times are NOT
-// required (the trace is returned as given; schedule it with
+// satisfy src, dst >= 0, src != dst, size >= 1 and service >= 0, and
+// start_us must be a finite, non-negative time that fits a
+// time.Duration; non-decreasing start times are NOT required (the trace is returned as given; schedule it with
 // sim.ScheduleAt which tolerates any order). Errors reference physical
 // line numbers of the input, so blank lines and the header do not
 // shift them.
@@ -65,6 +67,9 @@ func ReadTrace(r io.Reader) ([]FlowSpec, error) {
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 			return nil, fmt.Errorf("trace line %d: malformed fields", line)
 		}
+		if src < 0 || dst < 0 {
+			return nil, fmt.Errorf("trace line %d: negative host index", line)
+		}
 		if src == dst {
 			return nil, fmt.Errorf("trace line %d: src == dst", line)
 		}
@@ -74,8 +79,15 @@ func ReadTrace(r io.Reader) ([]FlowSpec, error) {
 		if service < 0 {
 			return nil, fmt.Errorf("trace line %d: negative service", line)
 		}
+		// The negated comparison also rejects NaN; float64(MaxInt64) is
+		// 2^63, so everything below it converts without overflow (+Inf
+		// included in the rejection).
+		startNS := startUS * float64(time.Microsecond)
+		if !(startNS >= 0) || startNS >= float64(math.MaxInt64) {
+			return nil, fmt.Errorf("trace line %d: start %q outside 0..%v", line, rec[0], time.Duration(math.MaxInt64))
+		}
 		out = append(out, FlowSpec{
-			Start:   time.Duration(startUS * float64(time.Microsecond)),
+			Start:   time.Duration(startNS),
 			Src:     src,
 			Dst:     dst,
 			Size:    size,

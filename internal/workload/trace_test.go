@@ -36,20 +36,66 @@ func TestReadTraceNoHeader(t *testing.T) {
 	}
 }
 
+// badTraces lists inputs ReadTrace must reject; it also seeds
+// FuzzReadTrace.
+var badTraces = []string{
+	"1.0,1,2,100\n",                          // 4 columns
+	"1.0,2,2,100,0\n",                        // src == dst
+	"1.0,1,2,0,0\n",                          // zero size
+	"1.0,1,2,100,-1\n",                       // negative service
+	"1.0,a,2,100,0\n",                        // bad src
+	"x,1,2,100,0\nx,1,2,100,0\n",             // bad start beyond header
+	"1.0,-1,2,100,0\n",                       // negative src
+	"0,-1,3,1000,0\n",                        // negative src, start 0
+	"1.0,1,-2,100,0\n",                       // negative dst
+	"NaN,1,2,100,0\n",                        // NaN start
+	"Inf,1,2,100,0\n",                        // +Inf start
+	"-Inf,1,2,100,0\n",                       // -Inf start
+	"-1.0,1,2,100,0\n",                       // negative start
+	"1e300,1,2,100,0\n",                      // start past time.Duration
+	"9223372036854776,1,2,100,0\n",           // start just past time.Duration
+	"start_us\n0,1,2,100,0\nnan,1,2,100,0\n", // NaN start after a header
+}
+
 func TestReadTraceErrors(t *testing.T) {
-	cases := []string{
-		"1.0,1,2,100\n",              // 4 columns
-		"1.0,2,2,100,0\n",            // src == dst
-		"1.0,1,2,0,0\n",              // zero size
-		"1.0,1,2,100,-1\n",           // negative service
-		"1.0,a,2,100,0\n",            // bad src
-		"x,1,2,100,0\nx,1,2,100,0\n", // bad start beyond header
-	}
-	for _, in := range cases {
+	for _, in := range badTraces {
 		if _, err := ReadTrace(strings.NewReader(in)); err == nil {
 			t.Fatalf("ReadTrace(%q) should fail", in)
 		}
 	}
+}
+
+// A start just under time.Duration's limit is accepted, and -0
+// reads as zero.
+func TestReadTraceStartBounds(t *testing.T) {
+	flows, err := ReadTrace(strings.NewReader("9223372036854000,1,2,100,0\n-0,1,2,100,0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flows[0].Start <= 0 || flows[1].Start != 0 {
+		t.Fatalf("starts = %v, %v", flows[0].Start, flows[1].Start)
+	}
+}
+
+// FuzzReadTrace: any input either fails with an error or yields flows
+// a simulator can replay — never a panic.
+func FuzzReadTrace(f *testing.F) {
+	f.Add("start_us,src,dst,size_bytes,service\n0.000,0,1,1000,0\n12.500,3,7,250000,5\n")
+	f.Add("5.0,1,2,100,0\n")
+	for _, in := range badTraces {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		flows, err := ReadTrace(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for i, fl := range flows {
+			if fl.Src < 0 || fl.Dst < 0 || fl.Src == fl.Dst || fl.Size < 1 || fl.Start < 0 {
+				t.Fatalf("ReadTrace(%q) accepted flow %d: %+v", in, i, fl)
+			}
+		}
+	})
 }
 
 // A header is detected by its first cell, not its width: exporters

@@ -16,14 +16,14 @@ import (
 // self-observation surface at once — coordinator runtime stats, a live
 // progress monitor with a fast sampler attached, and pool stats — must
 // leave the simulation byte-identical to an uninstrumented run. The
-// instrumented runs cover serial, channel@4, and channel-steal@8 on the
-// k=8 fat-tree workload: trace, FCTs, and processed-event counts are
+// instrumented runs cover serial, 4 shards and 8 shards on the k=8
+// fat-tree workload: trace, FCTs, and processed-event counts are
 // compared line by line, and the harvested stats are checked for the
 // signals pmsbstat -runtime reports on.
 func TestDifferentialRuntimeIntrospection(t *testing.T) {
 	specs := fatTreeCrossPodSpecs()
 	const until = 50 * time.Millisecond
-	baseline := runShardedFatTree(t, 0, parVariant{}, specs, until)
+	baseline := runShardedFatTree(t, 0, specs, until)
 	if len(baseline.trace) == 0 {
 		t.Fatal("empty trace: the workload recorded nothing")
 	}
@@ -33,7 +33,7 @@ func TestDifferentialRuntimeIntrospection(t *testing.T) {
 
 	// instrumented runs runShardedFatTree's workload with the full
 	// introspection surface attached and returns the harvested stats.
-	instrumented := func(shards int, v parVariant) (workloadResult, obsrt.Snapshot) {
+	instrumented := func(shards int) (workloadResult, obsrt.Snapshot) {
 		podBus := make([]*obs.Bus, 8)
 		for p := range podBus {
 			podBus[p] = obs.NewBus(1 << 14)
@@ -46,7 +46,7 @@ func TestDifferentialRuntimeIntrospection(t *testing.T) {
 		coll := obsrt.NewCollector()
 		var gotCoord *sim.Coordinator
 		var gotEng *sim.Engine
-		res := driveShardedFatTree(t, shards, v, specs, until, podBus,
+		res := driveShardedFatTree(t, shards, specs, until, podBus,
 			func(coord *sim.Coordinator, eng *sim.Engine) {
 				gotCoord, gotEng = coord, eng
 				if coord != nil {
@@ -69,13 +69,12 @@ func TestDifferentialRuntimeIntrospection(t *testing.T) {
 	for _, run := range []struct {
 		name   string
 		shards int
-		v      parVariant
 	}{
-		{"serial", 0, parVariant{}},
-		{"channel@4", 4, parVariants[1]},
-		{"channel-steal@8", 8, parVariants[2]},
+		{"serial", 0},
+		{"4shard", 4},
+		{"8shard", 8},
 	} {
-		res, snap := instrumented(run.shards, run.v)
+		res, snap := instrumented(run.shards)
 		assertIdenticalRuns(t, "introspected-"+run.name, baseline, res)
 		if run.shards == 0 {
 			if snap.Engines[0].Processed != baseline.processed {
@@ -87,11 +86,10 @@ func TestDifferentialRuntimeIntrospection(t *testing.T) {
 		if snap.Coord == nil {
 			t.Fatalf("%s: no coordinator stats collected", run.name)
 		}
-		var events, grants, steals uint64
+		var events, grants uint64
 		for _, s := range snap.Coord.PerShard {
 			events += s.Events
 			grants += s.Grants
-			steals += s.Steals
 		}
 		if events != baseline.processed {
 			t.Errorf("%s: per-shard events sum to %d, run processed %d",
@@ -99,12 +97,6 @@ func TestDifferentialRuntimeIntrospection(t *testing.T) {
 		}
 		if grants == 0 {
 			t.Errorf("%s: no windows recorded", run.name)
-		}
-		if run.v.steal && steals == 0 {
-			t.Errorf("%s: work-stealing run recorded no steals", run.name)
-		}
-		if !run.v.steal && steals != 0 {
-			t.Errorf("%s: %d steals recorded without work-stealing", run.name, steals)
 		}
 		var busy time.Duration
 		for _, w := range snap.Coord.PerWorker {
@@ -117,8 +109,8 @@ func TestDifferentialRuntimeIntrospection(t *testing.T) {
 }
 
 // Two instrumented runs are as self-deterministic as two bare runs: the
-// schedule-sensitive channel-steal path with monitors and stats on must
-// reproduce itself byte for byte.
+// 8-shard run with monitors and stats on must reproduce itself byte for
+// byte.
 func TestDifferentialRuntimeSelfDeterminism(t *testing.T) {
 	specs := fatTreeCrossPodSpecs()
 	const until = 50 * time.Millisecond
@@ -130,7 +122,7 @@ func TestDifferentialRuntimeSelfDeterminism(t *testing.T) {
 		mon := sim.NewMonitor()
 		sampler := obsrt.StartSampler(io.Discard, mon, 200*time.Microsecond)
 		defer sampler.Stop()
-		res := driveShardedFatTree(t, 8, parVariants[2], specs, until, podBus,
+		res := driveShardedFatTree(t, 8, specs, until, podBus,
 			func(coord *sim.Coordinator, eng *sim.Engine) {
 				coord.SetMonitor(mon)
 				coord.EnableRuntimeStats()
@@ -140,7 +132,7 @@ func TestDifferentialRuntimeSelfDeterminism(t *testing.T) {
 	}
 	a := run()
 	b := run()
-	assertIdenticalRuns(t, "introspected steal@8 repeat", a, b)
+	assertIdenticalRuns(t, "introspected 8shard repeat", a, b)
 	if !bytes.Equal(a.trace, b.trace) {
 		t.Fatal("instrumented repeats diverged")
 	}
